@@ -1,207 +1,56 @@
 (* limpetMLIR command-line driver.
 
-   Subcommands:
-     list                   catalogue of bundled ionic models
-     inspect MODEL          analyzed model (states, methods, LUTs, warnings)
-     check MODEL...         lint models (diagnostics, --format=json, exit 1
-                            on errors; --deep-verify runs the IR prover)
-     emit MODEL             generated IR (scalar baseline or vector kernel)
-     run MODEL              simulate and print an action-potential trace
-                            (--health adds NaN/divergence watchdogs)
-     serve MODEL            simulate with live /metrics + /healthz endpoints
-     profile MODEL          trace a run; Chrome-trace / summary / Prometheus
-     validate-metrics FILE  check a Prometheus exposition for format errors
-     passes MODEL           before/after op counts for each optimization pass
-
-   Models are resolved against the bundled registry first; a path to an
-   EasyML file works everywhere a model name does. *)
+   Subcommands: list, inspect, check, emit, parse, run, replay, tissue,
+   serve, profile, validate-metrics, passes, cost, import-mmt (see
+   [limpetmlir --help]).  Models are resolved against the bundled
+   registry first; a path to an EasyML file works everywhere a model
+   name does.  The simulating commands build an [App.Spec.t] and run it
+   through [App.Session]; this file only parses arguments and prints. *)
 
 open Cmdliner
-
-let load_model (name : string) : Easyml.Model.t =
-  match Models.Registry.find name with
-  | Some e -> Models.Registry.model e
-  | None ->
-      if Sys.file_exists name then
-        let ic = open_in_bin name in
-        let src = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        Easyml.Sema.analyze_source
-          ~name:Filename.(remove_extension (basename name))
-          src
-      else
-        Fmt.failwith "unknown model %s (not in registry, not a file)" name
-
-let config ?(spline = false) ~width ~layout ~no_lut ~autovec () :
-    Codegen.Config.t =
-  let base =
-    if autovec then Codegen.Config.autovec ~width
-    else if width = 1 then Codegen.Config.baseline
-    else Codegen.Config.mlir ~width
-  in
-  let base =
-    match Runtime.Layout.of_string layout with
-    | Some l -> { base with layout = l }
-    | None when layout = "" -> base
-    | None -> Fmt.failwith "unknown layout %s (aos, soa, aosoa<N>)" layout
-  in
-  { base with use_lut = not no_lut; lut_spline = spline }
-
-(* -- flight recorder helpers ---------------------------------------- *)
-
-let limpetmlir_version = "0.10.0"
-
-let build_info () : Obs.Export.build_info =
-  {
-    Obs.Export.bi_version = limpetmlir_version;
-    bi_ocaml = Sys.ocaml_version;
-    bi_pipeline = Codegen.Cache.pipeline_id;
-    bi_toolchain =
-      (match Exec.Native.toolchain () with
-      | Some tc -> tc.Exec.Native.id
-      | None -> "unavailable");
-  }
-
-let bits_hex (v : float) : string =
-  Printf.sprintf "%016Lx" (Int64.bits_of_float v)
-
-let of_bits_hex (s : string) : float =
-  Int64.float_of_bits (Int64.of_string ("0x" ^ s))
-
-let engine_of_name : string -> Sim.Driver.engine option = function
-  | "fused" -> Some Sim.Driver.Fused
-  | "batched" -> Some Sim.Driver.Batched
-  | "closure" -> Some Sim.Driver.Compiled
-  | "interp" -> Some Sim.Driver.Reference
-  | "native" -> Some Sim.Driver.Native
-  | _ -> None
-
-(* SIGINT/SIGTERM land here when a flight recorder is armed, so the
-   main loop can write a crash dump before exiting with the
-   conventional 128+signum code. *)
-exception Interrupted of int
-
-let arm_signals () : unit =
-  let h code = Sys.Signal_handle (fun _ -> raise (Interrupted code)) in
-  Sys.set_signal Sys.sigint (h 130);
-  Sys.set_signal Sys.sigterm (h 143)
-
-let health_text (d : Sim.Driver.t) : string option =
-  match Sim.Driver.health_snapshot d with
-  | None -> None
-  | Some hs ->
-      let nan, inf, range = Obs.Health.totals hs in
-      Some
-        (Printf.sprintf
-           "%s: %d step(s) sampled, %d NaN, %d Inf, %d range violation(s)\n"
-           (if hs.Obs.Health.hs_unhealthy then "UNHEALTHY" else "ok")
-           hs.Obs.Health.hs_steps_sampled nan inf range)
-
-(* Post-mortem bundle: structured report, recent trace events, health
-   snapshot, and the newest on-disk checkpoint (when a writer ran). *)
-let dump_crash ~(dir : string) ~(reason : string) ~(message : string)
-    ~(d : Sim.Driver.t) (writer : Obs.Recorder.writer option) : unit =
-  let report =
-    let open Obs.Json in
-    Obj
-      [
-        ("reason", Str reason);
-        ("message", Str message);
-        ("model", Str d.Sim.Driver.gen.Codegen.Kernel.model.Easyml.Model.name);
-        ("engine", Str (Sim.Driver.engine_name d.Sim.Driver.engine));
-        ("step", Num (float_of_int d.Sim.Driver.steps_done));
-        ("time_ms", Num (Sim.Driver.time d));
-        ("version", Str limpetmlir_version);
-        ("pipeline", Str Codegen.Cache.pipeline_id);
-      ]
-  in
-  let bundle =
-    Obs.Recorder.crash_dump ~dir
-      ?last_checkpoint:(Option.bind writer Obs.Recorder.last)
-      ~events:(Obs.Tracer.tail ()) ?health:(health_text d) ~report ()
-  in
-  Fmt.epr "# crash dump -> %s@." bundle
-
-(* Run manifest: everything an operator needs to reproduce or audit the
-   run — model identity, engine/config/pipeline, toolchain, transval
-   certificate count, population and BENCH-comparable timings. *)
-let write_run_manifest ~(dir : string) ~(kind : string)
-    ~(m : Easyml.Model.t) ~(cfg : Codegen.Config.t) ~(d : Sim.Driver.t)
-    ~(steps : int) ~(threads : int) ~(wall_s : float) ~(compute_s : float)
-    ~(extra : (string * Obs.Json.t) list) : unit =
-  let open Obs.Json in
-  let certs =
-    List.fold_left
-      (fun n (_, cs) -> n + List.length cs)
-      0
-      (Codegen.Cache.certificates ())
-  in
-  let manifest =
-    Obj
-      ([
-         ("kind", Str kind);
-         ("version", Str limpetmlir_version);
-         ("ocaml", Str Sys.ocaml_version);
-         ("model", Str m.Easyml.Model.name);
-         ( "model_digest",
-           Str (Digest.to_hex (Digest.string (Fmt.str "%a" Easyml.Model.pp m)))
-         );
-         ("config", Str (Codegen.Config.describe cfg));
-         ("engine", Str (Sim.Driver.engine_name d.Sim.Driver.engine));
-         ("tile", Num (float_of_int d.Sim.Driver.tile));
-         ("specialized", Bool d.Sim.Driver.specialized);
-         ("threads", Num (float_of_int threads));
-         ("pipeline", Str Codegen.Cache.pipeline_id);
-         ("transval_certificates", Num (float_of_int certs));
-         ( "toolchain",
-           Str
-             (match Exec.Native.toolchain () with
-             | Some tc -> tc.Exec.Native.id
-             | None -> "unavailable") );
-         ("cells", Num (float_of_int d.Sim.Driver.ncells));
-         ("steps", Num (float_of_int steps));
-         ("dt_ms", Num d.Sim.Driver.dt);
-         ( "timings",
-           Obj [ ("compute_s", Num compute_s); ("wall_s", Num wall_s) ] );
-       ]
-      @ extra)
-  in
-  let path = Obs.Recorder.write_manifest ~dir manifest in
-  Fmt.pr "# run manifest -> %s@." path
+module Spec = App.Spec
+module Session = App.Session
 
 (* -- common args ---------------------------------------------------- *)
 
 let model_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"MODEL")
 
+let int_opt name default docv doc =
+  Arg.(value & opt int default & info [ name ] ~docv ~doc)
+
+let float_opt name default docv doc =
+  Arg.(value & opt float default & info [ name ] ~docv ~doc)
+
 let width_arg =
   Arg.(value & opt int 8 & info [ "w"; "width" ] ~docv:"W"
          ~doc:"Vector width: 1 (scalar baseline), 2 (SSE), 4 (AVX2), 8 (AVX-512).")
 
-let layout_arg =
-  Arg.(value & opt string "" & info [ "layout" ] ~docv:"L"
-         ~doc:"Data layout override: aos, soa, or aosoa<N>.")
+(* width, layout, no-lut, autovec and spline, passed to [make] *)
+let knobs make =
+  let layout =
+    Arg.(value & opt string "" & info [ "layout" ] ~docv:"L"
+           ~doc:"Data layout override: aos, soa, or aosoa<N>.")
+  and no_lut =
+    Arg.(value & flag & info [ "no-lut" ] ~doc:"Disable lookup-table generation.")
+  and autovec =
+    Arg.(value & flag & info [ "autovec" ]
+           ~doc:"icc-style auto-vectorization cost profile (see paper section 5).")
+  and spline =
+    Arg.(value & flag & info [ "spline" ]
+           ~doc:"Cubic (Catmull-Rom) lookup-table interpolation instead of \
+                 linear (the paper's section 7 future-work item).")
+  in
+  Term.(const make $ width_arg $ layout $ no_lut $ autovec $ spline)
 
-let no_lut_arg =
-  Arg.(value & flag & info [ "no-lut" ] ~doc:"Disable lookup-table generation.")
-
-let autovec_arg =
-  Arg.(value & flag & info [ "autovec" ]
-         ~doc:"icc-style auto-vectorization cost profile (see paper section 5).")
-
-let spline_arg =
-  Arg.(value & flag & info [ "spline" ]
-         ~doc:"Cubic (Catmull-Rom) lookup-table interpolation instead of \
-               linear (the paper's section 7 future-work item).")
+let config_term =
+  knobs (fun width layout no_lut autovec spline ->
+      Spec.codegen_config ~width ~layout ~no_lut ~autovec ~spline)
 
 let engine_arg =
   Arg.(value
        & opt
-           (enum
-              [ ("fused", Sim.Driver.Fused); ("batched", Sim.Driver.Batched);
-                ("native", Sim.Driver.Native);
-                ("closure", Sim.Driver.Compiled);
-                ("interp", Sim.Driver.Reference) ])
+           (enum (List.map (fun e -> (Sim.Driver.engine_name e, e)) Spec.engines))
            Sim.Driver.Fused
        & info [ "engine" ] ~docv:"E"
            ~doc:"Execution engine: $(b,fused) (threaded code with \
@@ -216,9 +65,9 @@ let engine_arg =
                  bitwise-identical trajectories.")
 
 let tile_arg =
-  Arg.(value & opt int 0 & info [ "tile" ] ~docv:"N"
-         ~doc:"Batched-engine tile size in vector blocks \
-               (0 = auto-size for L1; ignored by the other engines).")
+  int_opt "tile" 0 "N"
+    "Batched-engine tile size in vector blocks (0 = auto-size for L1; \
+     ignored by the other engines)."
 
 let specialize_arg =
   Arg.(value & opt bool true & info [ "specialize" ] ~docv:"BOOL"
@@ -228,9 +77,26 @@ let specialize_arg =
                identical results either way; specialized artifacts are \
                cached per binding environment.  Default $(b,true).")
 
-let ckpt_dir_arg =
-  Arg.(value & opt (some string) None
-       & info [ "checkpoint-dir" ] ~docv:"DIR"
+(* The spec fields every simulating command takes alike; each command
+   supplies its own population, time span and observation options. *)
+let spec_term =
+  let mk width layout no_lut autovec spline model engine tile specialize
+      ~threads ~dt ~steps ~health ~checkpoint population =
+    { Spec.model; width; layout; no_lut; autovec; spline; engine; tile;
+      specialize; threads; dt; steps; population; health; checkpoint }
+  in
+  Term.(const (fun model mk -> mk model) $ model_arg $ knobs mk $ engine_arg
+        $ tile_arg $ specialize_arg)
+
+let cells_arg default = int_opt "cells" default "N" "Number of cells."
+let steps_arg default doc = int_opt "steps" default "N" doc
+
+let dt_arg = Arg.(value & opt float 0.01 & info [ "dt" ] ~docv:"MS")
+let threads_arg = Arg.(value & opt int 1 & info [ "threads" ] ~docv:"T")
+
+let checkpoint_term =
+  let dir =
+    Arg.(value & opt (some string) None & info [ "checkpoint-dir" ] ~docv:"DIR"
            ~doc:"Arm the flight recorder: write periodic checkpoints (exact \
                  Int64 bit patterns of every state buffer, with an MD5 \
                  content digest) under $(docv), plus a run manifest at the \
@@ -238,20 +104,29 @@ let ckpt_dir_arg =
                  SIGINT/SIGTERM.  A run resumed from any checkpoint with \
                  $(b,limpetmlir replay) finishes bitwise-identical to the \
                  uninterrupted run (native engine: \u{2264} 2 ULP).")
-
-let ckpt_stride_arg =
-  Arg.(value & opt int 1000 & info [ "checkpoint-stride" ] ~docv:"N"
-         ~doc:"Checkpoint every N steps (with --checkpoint-dir).")
-
-let ckpt_keep_arg =
-  Arg.(value & opt int 3 & info [ "checkpoint-keep" ] ~docv:"K"
-         ~doc:"Keep only the newest K checkpoint files (rotation).")
+  and stride =
+    int_opt "checkpoint-stride" 1000 "N"
+      "Checkpoint every N steps (with --checkpoint-dir)."
+  and keep =
+    int_opt "checkpoint-keep" 3 "K"
+      "Keep only the newest K checkpoint files (rotation)."
+  in
+  let make dir stride keep = Option.map (fun dir -> { Spec.dir; stride; keep }) dir in
+  Term.(const make $ dir $ stride $ keep)
 
 let final_digest_arg =
   Arg.(value & flag & info [ "final-digest" ]
          ~doc:"Print the MD5 content digest of the final state (always \
                printed when --checkpoint-dir is set); two runs reaching \
                the same state bit-for-bit print the same digest.")
+
+let output_arg doc =
+  Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
+
+let file_arg docv = Arg.(required & pos 0 (some file) None & info [] ~docv)
+
+let read_text (path : string) : string =
+  In_channel.with_open_bin path In_channel.input_all
 
 let write_text (path : string) (text : string) : unit =
   let oc = open_out path in
@@ -260,7 +135,16 @@ let write_text (path : string) (text : string) : unit =
     output_char oc '\n';
   close_out oc
 
-(* -- list ----------------------------------------------------------- *)
+(* A failed step loop (health trip, signal) exits with its code once the
+   crash-dump bundle is written. *)
+let or_exit : (int, Session.failure) result -> unit = function
+  | Ok _ -> ()
+  | Error { Session.code; message; bundle } ->
+      Fmt.epr "%s@." message;
+      Option.iter (Fmt.epr "# crash dump -> %s@.") bundle;
+      exit code
+
+(* -- list, inspect -------------------------------------------------- *)
 
 let list_cmd =
   let doc = "List the bundled ionic models." in
@@ -282,12 +166,10 @@ let list_cmd =
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
 
-(* -- inspect -------------------------------------------------------- *)
-
 let inspect_cmd =
   let doc = "Show the analyzed form of a model." in
   let run name =
-    let m = load_model name in
+    let m = Spec.load_model name in
     Fmt.pr "%a@." Easyml.Model.pp m;
     List.iter (fun d -> Fmt.pr "%a@." (Easyml.Diag.pp ~file:name) d) m.warnings
   in
@@ -300,33 +182,24 @@ let check_cmd =
     "Lint EasyML models: analyzer diagnostics plus range-based checks \
      (unused state variables, lookup-table domains, markov occupancies). \
      Exits non-zero when any error-severity diagnostic is found.  A model \
-     that passes runs identically on all five execution engines — \
-     $(b,fused) (threaded code, default), $(b,batched) (tile-batched loop \
-     inversion), $(b,native) (JIT-compiled C; degrades to batched with a \
-     warning when no C toolchain is available), $(b,closure), and \
-     $(b,interp) (reference) — selected with $(b,--engine) on \
-     run/profile/serve."
+     that passes runs identically on all five execution engines \
+     ($(b,--engine) on run/tissue/profile/serve)."
   in
   let models =
     Arg.(value & pos_all string [] & info [] ~docv:"MODEL"
            ~doc:"Models to check (registry names or .easyml paths).")
-  in
-  let all =
-    Arg.(value & flag & info [ "all" ] ~doc:"Check every bundled model.")
-  in
-  let format =
+  and all = Arg.(value & flag & info [ "all" ] ~doc:"Check every bundled model.")
+  and format =
     Arg.(value & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
          & info [ "format" ] ~docv:"FMT"
              ~doc:"Output format: $(b,text) (GCC-style, one line per \
                    diagnostic) or $(b,json) (an array of objects).")
-  in
-  let deep =
+  and deep =
     Arg.(value & flag & info [ "deep-verify" ]
            ~doc:"Also generate the scalar and vector kernels for each model \
                  and run the deep IR verifier (structural checks plus \
                  dataflow-backed range and initialization proofs).")
-  in
-  let validate_passes =
+  and validate =
     Arg.(value & flag & info [ "validate-passes" ]
            ~doc:"Translation validation: compile each model's scalar and \
                  vector kernels (and a specialized variant) with the \
@@ -335,177 +208,66 @@ let check_cmd =
                  an error (with the first diverging symbolic terms and \
                  the responsible pass); an undecided obligation is a \
                  warning.")
-  in
-  let certs_out =
+  and certs_out =
     Arg.(value & opt (some string) None & info [ "certs-out" ] ~docv:"FILE"
            ~doc:"With --validate-passes, write all per-pass certificates \
                  (pass id, IR digests, obligation count, verdict, time) \
                  as JSON to $(docv).")
   in
-  let run models all format deep validate_passes certs_out =
+  let run models all format deep validate certs_out =
     let names =
-      if all then List.map (fun (e : Models.Model_def.entry) -> e.name)
-          Models.Registry.all
+      if all then
+        List.map (fun (e : Models.Model_def.entry) -> e.name) Models.Registry.all
       else models
     in
-    if names = [] then
-      Fmt.failwith "no models to check (name one or pass --all)";
-    if validate_passes then begin
-      Codegen.Cache.set_validation true;
-      Codegen.Cache.clear ()
-    end;
-    let json_items = ref [] in
-    let n_err = ref 0 and n_warn = ref 0 and n_info = ref 0 in
-    let emit_diag ~file (d : Easyml.Diag.t) =
-      (match d.Easyml.Diag.sev with
-      | Easyml.Diag.Error -> incr n_err
-      | Easyml.Diag.Warning -> incr n_warn
-      | Easyml.Diag.Info -> incr n_info);
-      match format with
-      | `Text -> Fmt.pr "%a@." (Easyml.Diag.pp ~file) d
-      | `Json -> json_items := Easyml.Diag.to_json ~file d :: !json_items
+    if names = [] then Fmt.failwith "no models to check (name one or pass --all)";
+    let found, summary = App.Check.models ~deep ~validate names in
+    let count sev =
+      List.length (List.filter (fun (_, d) -> d.Easyml.Diag.sev = sev) found)
     in
-    List.iter
-      (fun name ->
-        match load_model name with
-        | exception e ->
-            emit_diag ~file:name
-              (Easyml.Diag.makef ~sev:Easyml.Diag.Error ~code:"load-failed"
-                 "%s" (Printexc.to_string e))
-        | m ->
-            List.iter (emit_diag ~file:name) (Analysis.Lint.check m);
-            if deep then
-              List.iter
-                (fun cfg ->
-                  match Codegen.Cache.generate cfg m with
-                  | exception e ->
-                      emit_diag ~file:name
-                        (Easyml.Diag.makef ~sev:Easyml.Diag.Error
-                           ~code:"codegen-failed" "%s (%s)"
-                           (Printexc.to_string e)
-                           (Codegen.Config.describe cfg))
-                  | g ->
-                      List.iter
-                        (fun err ->
-                          emit_diag ~file:name
-                            (Easyml.Diag.makef ~sev:Easyml.Diag.Error
-                               ~code:"deep-verify" "%a (%s)"
-                               Ir.Verifier.pp_error err
-                               (Codegen.Config.describe cfg)))
-                        (Analysis.Deep.verify_module g.Codegen.Kernel.modl))
-                [ Codegen.Config.baseline; Codegen.Config.mlir ~width:8 ];
-            if validate_passes then
-              List.iter
-                (fun cfg ->
-                  match Codegen.Cache.generate cfg m with
-                  | exception Codegen.Cache.Validation_failed cert ->
-                      Option.iter (emit_diag ~file:name)
-                        (Analysis.Transval.diag_of_cert cert)
-                  | exception e ->
-                      emit_diag ~file:name
-                        (Easyml.Diag.makef ~sev:Easyml.Diag.Error
-                           ~code:"codegen-failed" "%s (%s)"
-                           (Printexc.to_string e)
-                           (Codegen.Config.describe cfg))
-                  | g -> (
-                      (* Also validate the specialized pipeline, including
-                         the composite specialize obligation. *)
-                      match
-                        Codegen.Cache.specialize g ~dt:0.01 ~ncells_pad:64
-                      with
-                      | exception Codegen.Cache.Validation_failed cert ->
-                          Option.iter (emit_diag ~file:name)
-                            (Analysis.Transval.diag_of_cert cert)
-                      | exception e ->
-                          emit_diag ~file:name
-                            (Easyml.Diag.makef ~sev:Easyml.Diag.Error
-                               ~code:"specialize-failed" "%s (%s)"
-                               (Printexc.to_string e)
-                               (Codegen.Config.describe cfg))
-                      | _ -> ()))
-                [ Codegen.Config.baseline; Codegen.Config.mlir ~width:8 ])
-      names;
-    if validate_passes then begin
-      let certs = Codegen.Cache.certificates () in
-      let n_certs = ref 0 and n_unknown = ref 0 and n_refuted = ref 0 in
-      let total_ms = ref 0.0 in
-      List.iter
-        (fun (key, cs) ->
-          List.iter
-            (fun (c : Analysis.Transval.cert) ->
-              incr n_certs;
-              total_ms := !total_ms +. c.Analysis.Transval.c_ms;
-              if Analysis.Transval.is_refuted c then incr n_refuted
-              else if Analysis.Transval.is_unknown c then begin
-                incr n_unknown;
-                Option.iter (emit_diag ~file:key)
-                  (Analysis.Transval.diag_of_cert c)
-              end)
-            cs)
-        certs;
-      (match certs_out with
-      | None -> ()
-      | Some file ->
-          let buf = Buffer.create 4096 in
-          Buffer.add_string buf "[";
-          let first = ref true in
-          List.iter
-            (fun (key, cs) ->
-              List.iter
-                (fun c ->
-                  if not !first then Buffer.add_string buf ",\n ";
-                  first := false;
-                  Buffer.add_string buf
-                    (Printf.sprintf "{\"key\": \"%s\", \"cert\": %s}"
-                       (Easyml.Diag.json_escape key)
-                       (Analysis.Transval.cert_to_json c)))
-                cs)
-            certs;
-          Buffer.add_string buf "]\n";
-          let oc = open_out file in
-          output_string oc (Buffer.contents buf);
-          close_out oc);
-      if format = `Text then
-        Fmt.pr
-          "validate-passes: %d certificate(s), %d proved, %d unknown, \
-           %d refuted (%.1f ms)@."
-          !n_certs
-          (!n_certs - !n_unknown - !n_refuted)
-          !n_unknown !n_refuted !total_ms
-    end;
+    if format = `Text then
+      List.iter (fun (file, d) -> Fmt.pr "%a@." (Easyml.Diag.pp ~file) d) found;
+    Option.iter
+      (fun (s : App.Check.summary) ->
+        Option.iter
+          (fun file -> write_text file (App.Check.certificates_json ()))
+          certs_out;
+        if format = `Text then
+          Fmt.pr
+            "validate-passes: %d certificate(s), %d proved, %d unknown, \
+             %d refuted (%.1f ms)@."
+            s.certificates
+            (s.certificates - s.unknown - s.refuted)
+            s.unknown s.refuted s.ms)
+      summary;
     (match format with
     | `Text ->
         Fmt.pr "checked %d model(s): %d error(s), %d warning(s), %d info@."
-          (List.length names) !n_err !n_warn !n_info
+          (List.length names) (count Easyml.Diag.Error)
+          (count Easyml.Diag.Warning) (count Easyml.Diag.Info)
     | `Json ->
-        Fmt.pr "[%s]@." (String.concat ",\n " (List.rev !json_items)));
-    if !n_err > 0 then exit 1
+        Fmt.pr "[%s]@."
+          (String.concat ",\n "
+             (List.map (fun (file, d) -> Easyml.Diag.to_json ~file d) found)));
+    if count Easyml.Diag.Error > 0 then exit 1
   in
   Cmd.v (Cmd.info "check" ~doc)
-    Term.(const run $ models $ all $ format $ deep $ validate_passes
-          $ certs_out)
+    Term.(const run $ models $ all $ format $ deep $ validate $ certs_out)
 
-(* -- emit ----------------------------------------------------------- *)
+(* -- emit, parse ---------------------------------------------------- *)
 
 let emit_cmd =
   let doc = "Print the generated IR module for a model." in
   let no_opt =
     Arg.(value & flag & info [ "no-opt" ] ~doc:"Skip the optimization pipeline.")
-  in
-  let output =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
-           ~doc:"Write the IR to a file instead of stdout (re-loadable with \
-                 the parse subcommand).")
-  in
-  let c_out =
+  and c_out =
     Arg.(value & flag & info [ "c" ]
            ~doc:"Emit the C translation unit the native engine would \
                  JIT-compile (the IR printed through the C backend, with \
                  a provenance header) instead of the IR itself.")
   in
-  let run name width layout no_lut autovec spline no_opt c_out output =
-    let m = load_model name in
-    let cfg = config ~spline ~width ~layout ~no_lut ~autovec () in
+  let run name cfg no_opt c_out output =
+    let m = Spec.load_model name in
     let g = Codegen.Cache.generate ~optimize:(not no_opt) cfg m in
     (match Ir.Verifier.verify_module g.modl with
     | [] -> ()
@@ -526,40 +288,43 @@ let emit_cmd =
     match output with
     | None -> Fmt.pr "%s@." text
     | Some path ->
-        let oc = open_out path in
-        output_string oc text;
-        output_char oc '\n';
-        close_out oc;
+        write_text path (text ^ "\n");
         Fmt.pr "wrote %s@." path
   in
   Cmd.v (Cmd.info "emit" ~doc)
-    Term.(const run $ model_arg $ width_arg $ layout_arg $ no_lut_arg
-          $ autovec_arg $ spline_arg $ no_opt $ c_out $ output)
+    Term.(const run $ model_arg $ config_term $ no_opt $ c_out
+          $ output_arg "Write the IR to a file instead of stdout (re-loadable \
+                        with the parse subcommand).")
+
+let parse_cmd =
+  let doc = "Parse and verify a saved IR module (emit -o output)." in
+  let run file =
+    match Ir.Parser.parse_module_result (read_text file) with
+    | Error e -> Fmt.epr "parse error: %s@." e
+    | Ok m -> (
+        match Ir.Verifier.verify_module m with
+        | [] ->
+            Fmt.pr "%s: %d function(s), %d ops, verifies OK@." m.Ir.Func.m_name
+              (List.length m.Ir.Func.m_funcs)
+              (List.fold_left (fun n f -> n + Ir.Func.op_count f) 0
+                 m.Ir.Func.m_funcs)
+        | errs -> Fmt.epr "%s@." (Ir.Verifier.errors_to_string errs))
+  in
+  Cmd.v (Cmd.info "parse" ~doc) Term.(const run $ file_arg "FILE")
 
 (* -- run ------------------------------------------------------------ *)
 
 let run_cmd =
   let doc = "Simulate a model and print an action-potential trace." in
-  let cells =
-    Arg.(value & opt int 16 & info [ "cells" ] ~docv:"N" ~doc:"Number of cells.")
-  in
-  let steps =
-    Arg.(value & opt int 50_000 & info [ "steps" ] ~docv:"N"
-           ~doc:"Number of 0.01 ms time steps.")
-  in
-  let dt = Arg.(value & opt float 0.01 & info [ "dt" ] ~docv:"MS") in
   let every =
-    Arg.(value & opt int 1000 & info [ "trace-every" ] ~docv:"N"
-           ~doc:"Print the trace every N steps (0 = summary only).")
-  in
-  let threads = Arg.(value & opt int 1 & info [ "threads" ] ~docv:"T") in
-  let trace =
+    int_opt "trace-every" 1000 "N"
+      "Print the trace every N steps (0 = summary only)."
+  and trace =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
            ~doc:"Record a Chrome trace of the whole run (compile + every \
                  step) and write it to $(docv); load it in Perfetto or \
                  chrome://tracing.  Tracing never changes results.")
-  in
-  let health =
+  and health =
     Arg.(value & flag & info [ "health" ]
            ~doc:"Monitor numerical health while running: per-variable \
                  NaN/Inf counts, gate clamp violations and a \
@@ -567,143 +332,117 @@ let run_cmd =
                  out of range) aborts the run with exit code 3 and a \
                  report naming the variable, cell and step.  Monitoring \
                  never changes results.")
-  in
-  let health_stride =
-    Arg.(value & opt int 16 & info [ "health-stride" ] ~docv:"N"
-           ~doc:"Sample health every N steps (with --health).")
-  in
-  let validate =
+  and health_stride =
+    int_opt "health-stride" 16 "N" "Sample health every N steps (with --health)."
+  and validate =
     Arg.(value & flag & info [ "validate" ]
            ~doc:"Run the optimization pipeline in validating mode: prove \
                  every pass application (and the specializer) \
                  semantics-preserving before simulating.  A refutation \
                  aborts with exit code 4.")
   in
-  let run name width layout no_lut autovec spline cells steps dt every threads
-      engine tile specialize trace health health_stride validate ckpt_dir
-      ckpt_stride ckpt_keep final_digest =
-    let m = load_model name in
-    let cfg = config ~spline ~width ~layout ~no_lut ~autovec () in
-    (* checkpointed runs keep the tracer on so a crash dump carries the
-       ring-buffer tail of recent events — tracing never changes results *)
-    if trace <> None || ckpt_dir <> None then begin
-      Obs.Tracer.reset ();
-      Obs.Tracer.enable ()
-    end;
+  let run mk cells steps dt every threads trace health stride validate
+      checkpoint final_digest =
+    let health = if health then Some { Spec.stride; policy = Abort } else None in
     if validate then Codegen.Cache.set_validation true;
-    let g, d =
+    let s =
       try
-        let g = Codegen.Cache.generate cfg m in
-        (g, Sim.Driver.create ~engine ~tile ~specialize g ~ncells:cells ~dt)
+        Session.create ~trace:(trace <> None)
+          (mk ~threads ~dt ~steps ~health ~checkpoint (Spec.Cells cells))
       with Codegen.Cache.Validation_failed cert ->
         Fmt.epr "translation validation refuted pass %s:@.%s@."
-          cert.Analysis.Transval.c_pass
-          (Analysis.Transval.cert_to_json cert);
+          cert.Analysis.Transval.c_pass (Analysis.Transval.cert_to_json cert);
         exit 4
     in
-    if health then
-      Sim.Driver.enable_health
-        ~cfg:
-          {
-            Obs.Health.default_config with
-            Obs.Health.stride = health_stride;
-            policy = Obs.Health.Abort;
-          }
-        d;
-    let stim = Sim.Stim.default in
-    let writer =
-      match ckpt_dir with
-      | None -> None
-      | Some dir ->
-          arm_signals ();
-          Some
-            (Obs.Recorder.create_writer ~keep:ckpt_keep
-               ~extra:
-                 [
-                   ("model_ref", name);
-                   ("steps_total", string_of_int steps);
-                   ("threads", string_of_int threads);
-                   ("cli_width", string_of_int width);
-                   ("cli_layout", layout);
-                   ("cli_no_lut", string_of_bool no_lut);
-                   ("cli_autovec", string_of_bool autovec);
-                   ("cli_spline", string_of_bool spline);
-                   ("engine_req", Sim.Driver.engine_name engine);
-                 ]
-               ~dir ~stride:ckpt_stride ())
-    in
-    Fmt.pr "# model=%s config=%s cells=%d steps=%d dt=%gms@." m.name
-      (Codegen.Config.describe cfg) cells steps dt;
+    let d = Session.driver s in
+    Fmt.pr "# model=%s config=%s cells=%d steps=%d dt=%gms@."
+      (Session.model s).name
+      (Codegen.Config.describe (Session.config s))
+      cells steps dt;
     if every > 0 then Fmt.pr "# t_ms Vm Iion@.";
-    let compute_time = ref 0.0 in
-    let wall0 = Unix.gettimeofday () in
-    (try
-       for s = 1 to steps do
-         compute_time :=
-           !compute_time +. Sim.Driver.step_timed ~nthreads:threads ~stim d;
-         (match writer with
-         | Some w when Obs.Recorder.due w ~step:d.Sim.Driver.steps_done ->
-             ignore (Obs.Recorder.record w (Sim.Driver.capture d))
-         | _ -> ());
-         if every > 0 && s mod every = 0 then
-           Fmt.pr "%8.2f %10.4f %10.4f@." (Sim.Driver.time d)
-             (Sim.Driver.vm d 0)
-             (Sim.Driver.ext d "Iion" 0)
-       done
-     with
-    | Obs.Health.Tripped msg ->
-        Fmt.epr "%s@." msg;
-        Option.iter
-          (fun dir -> dump_crash ~dir ~reason:"health-trip" ~message:msg ~d
-               writer)
-          ckpt_dir;
-        exit 3
-    | Interrupted code ->
-        let msg = Printf.sprintf "interrupted by signal (exit %d)" code in
-        Fmt.epr "%s@." msg;
-        Option.iter
-          (fun dir ->
-            dump_crash ~dir ~reason:"signal" ~message:msg ~d writer)
-          ckpt_dir;
-        exit code);
-    let wall_s = Unix.gettimeofday () -. wall0 in
-    Fmt.pr "# compute stage: %.3f s wall clock@." !compute_time;
-    if final_digest || writer <> None then
-      Fmt.pr "# final state digest: %s@."
-        (Obs.Recorder.digest (Sim.Driver.capture d));
+    let print_trace n =
+      if every > 0 && n mod every = 0 then
+        Fmt.pr "%8.2f %10.4f %10.4f@." (Sim.Driver.time d) (Sim.Driver.vm d 0)
+          (Sim.Driver.ext d "Iion" 0)
+    in
+    or_exit (Session.run ~on_step:print_trace s ~steps);
+    Fmt.pr "# compute stage: %.3f s wall clock@." (Session.compute_s s);
+    Session.finish ~final_digest s;
     Option.iter
-      (fun dir ->
-        write_run_manifest ~dir ~kind:"cell" ~m ~cfg ~d ~steps ~threads
-          ~wall_s ~compute_s:!compute_time ~extra:[])
-      ckpt_dir;
-    (match Sim.Driver.health_snapshot d with
-    | None -> ()
-    | Some hs ->
+      (fun (hs : Obs.Health.snapshot) ->
         let nan, inf, range = Obs.Health.totals hs in
         Fmt.pr "# health: %s — %d step(s) sampled, %d NaN, %d Inf, %d range \
                 violation(s)@."
-          (if hs.Obs.Health.hs_unhealthy then "UNHEALTHY" else "ok")
-          hs.Obs.Health.hs_steps_sampled nan inf range);
-    (match trace with
-    | None -> ()
-    | Some path ->
+          (if hs.hs_unhealthy then "UNHEALTHY" else "ok")
+          hs.hs_steps_sampled nan inf range)
+      (Sim.Driver.health_snapshot d);
+    Option.iter
+      (fun path ->
         Obs.Tracer.disable ();
         let snap = Obs.Tracer.snapshot () in
         write_text path (Obs.Export.chrome snap);
         Fmt.pr "# trace: %d events -> %s@."
-          (List.length snap.Obs.Tracer.events) path);
-    let r = Machine.Perfmodel.run_kernel g ~ncells:cells ~steps ~nthreads:threads in
+          (List.length snap.Obs.Tracer.events) path)
+      trace;
+    let r =
+      Machine.Perfmodel.run_kernel (Session.kernel s) ~ncells:cells ~steps
+        ~nthreads:threads
+    in
     Fmt.pr "# machine model prediction on the paper's platform: %.3f s@."
       r.Machine.Perfmodel.seconds
   in
   Cmd.v (Cmd.info "run" ~doc)
-    Term.(const run $ model_arg $ width_arg $ layout_arg $ no_lut_arg
-          $ autovec_arg $ spline_arg $ cells $ steps $ dt $ every $ threads
-          $ engine_arg $ tile_arg $ specialize_arg $ trace $ health
-          $ health_stride $ validate $ ckpt_dir_arg $ ckpt_stride_arg
-          $ ckpt_keep_arg $ final_digest_arg)
+    Term.(const run $ spec_term $ cells_arg 16
+          $ steps_arg 50_000 "Number of 0.01 ms time steps." $ dt_arg $ every
+          $ threads_arg $ trace $ health $ health_stride $ validate
+          $ checkpoint_term $ final_digest_arg)
 
 (* -- tissue --------------------------------------------------------- *)
+
+let tissue_term =
+  let splitting =
+    Arg.(value
+         & opt (enum [ ("godunov", Tissue.Monodomain.Godunov);
+                       ("strang", Tissue.Monodomain.Strang) ])
+             Tissue.Monodomain.Godunov
+         & info [ "splitting" ] ~docv:"S"
+             ~doc:"Operator splitting: $(b,godunov) (ionic stage, then one \
+                   IMEX exchange + implicit diffusion solve, first-order, \
+                   default) or $(b,strang) (half diffusion / full ionic / \
+                   half diffusion, second-order).")
+  and protocol =
+    Arg.(value
+         & opt (enum [ ("s1", Spec.S1); ("s1s2", Spec.S1s2);
+                       ("restitution", Spec.Restitution) ])
+             Spec.S1
+         & info [ "protocol" ] ~docv:"P"
+             ~doc:"Stimulus protocol: $(b,s1) (planar wave from the x=0 \
+                   strip, default), $(b,s1s2) (cross-field shock for \
+                   spiral induction; set --s2-start), or \
+                   $(b,restitution) (S1 pacing train plus premature S2; \
+                   set --s1-count/--s1-interval/--s2-coupling).")
+  in
+  let make nx ny dx sigma splitting protocol stim_width s2_start s1_count
+      s1_interval s2_coupling block_check =
+    { Spec.nx; ny; dx; sigma; splitting; protocol; stim_width; s2_start;
+      s1_count; s1_interval; s2_coupling; block_check }
+  in
+  Term.(const make
+        $ int_opt "nx" 128 "N" "Nodes along x."
+        $ int_opt "ny" 1 "N" "Nodes along y (1 = cable, >1 = sheet)."
+        $ float_opt "dx" 0.01 "CM" "Node spacing, cm."
+        $ float_opt "sigma" 0.001 "S" "Effective diffusivity, cm²/ms."
+        $ splitting $ protocol
+        $ int_opt "stim-width" 5 "N" "Stimulated strip width in cells."
+        $ float_opt "s2-start" 340.0 "MS" "S2 shock time for --protocol=s1s2."
+        $ int_opt "s1-count" 4 "N" "S1 pulses in the restitution train."
+        $ float_opt "s1-interval" 400.0 "MS"
+            "S1 pacing interval for --protocol=restitution."
+        $ float_opt "s2-coupling" 300.0 "MS"
+            "S2 coupling interval after the last S1."
+        $ float_opt "block-check" 0.0 "MS"
+            "Arm the conduction-block detector: trip unless propagation \
+             left the stimulated region by this time (0 = off).")
 
 let tissue_cmd =
   let doc =
@@ -712,224 +451,48 @@ let tissue_cmd =
      diffusion solve by operator splitting.  Measures the activation \
      map, conduction velocity and reentry (reactivation) counts."
   in
-  let nx =
-    Arg.(value & opt int 128 & info [ "nx" ] ~docv:"N"
-           ~doc:"Nodes along x.")
-  in
-  let ny =
-    Arg.(value & opt int 1 & info [ "ny" ] ~docv:"N"
-           ~doc:"Nodes along y (1 = cable, >1 = sheet).")
-  in
-  let dx =
-    Arg.(value & opt float 0.01 & info [ "dx" ] ~docv:"CM"
-           ~doc:"Node spacing, cm.")
-  in
-  let dt = Arg.(value & opt float 0.01 & info [ "dt" ] ~docv:"MS") in
-  let steps =
-    Arg.(value & opt int 5_000 & info [ "steps" ] ~docv:"N"
-           ~doc:"Number of time steps.")
-  in
-  let sigma =
-    Arg.(value & opt float 0.001 & info [ "sigma" ] ~docv:"S"
-           ~doc:"Effective diffusivity, cm²/ms.")
-  in
-  let splitting =
-    Arg.(value
-         & opt (enum [ ("godunov", Tissue.Monodomain.Godunov);
-                       ("strang", Tissue.Monodomain.Strang) ])
-             Tissue.Monodomain.Godunov
-         & info [ "splitting" ] ~docv:"S"
-             ~doc:"Operator splitting: $(b,godunov) (ionic then IMEX \
-                   diffusion, the Solver.Cable convention, default) or \
-                   $(b,strang) (half diffusion / full ionic / half \
-                   diffusion, second-order).")
-  in
-  let protocol =
-    Arg.(value
-         & opt (enum [ ("s1", `S1); ("s1s2", `S1s2);
-                       ("restitution", `Restitution) ])
-             `S1
-         & info [ "protocol" ] ~docv:"P"
-             ~doc:"Stimulus protocol: $(b,s1) (planar wave from the x=0 \
-                   strip, default), $(b,s1s2) (cross-field shock for \
-                   spiral induction; set --s2-start), or \
-                   $(b,restitution) (S1 pacing train plus premature S2; \
-                   set --s1-count/--s1-interval/--s2-coupling).")
-  in
-  let stim_width =
-    Arg.(value & opt int 5 & info [ "stim-width" ] ~docv:"N"
-           ~doc:"Stimulated strip width in cells.")
-  in
-  let s2_start =
-    Arg.(value & opt float 340.0 & info [ "s2-start" ] ~docv:"MS"
-           ~doc:"S2 shock time for --protocol=s1s2.")
-  in
-  let s1_count =
-    Arg.(value & opt int 4 & info [ "s1-count" ] ~docv:"N"
-           ~doc:"S1 pulses in the restitution train.")
-  in
-  let s1_interval =
-    Arg.(value & opt float 400.0 & info [ "s1-interval" ] ~docv:"MS"
-           ~doc:"S1 pacing interval for --protocol=restitution.")
-  in
-  let s2_coupling =
-    Arg.(value & opt float 300.0 & info [ "s2-coupling" ] ~docv:"MS"
-           ~doc:"S2 coupling interval after the last S1.")
-  in
-  let threads = Arg.(value & opt int 1 & info [ "threads" ] ~docv:"T") in
-  let block_check =
-    Arg.(value & opt float 0.0 & info [ "block-check" ] ~docv:"MS"
-           ~doc:"Arm the conduction-block detector: trip unless \
-                 propagation left the stimulated region by this time \
-                 (0 = off).")
-  in
   let health =
     Arg.(value & flag & info [ "health" ]
            ~doc:"Numerical-health monitoring with the Abort policy: a \
                  hard trip (NaN, Inf, Vm range, conduction block) exits \
                  with code 3.")
-  in
-  let map_out =
+  and map_out =
     Arg.(value & opt (some string) None & info [ "map" ] ~docv:"FILE"
            ~doc:"Write the activation map to $(docv): CSV rows \
                  (cell,x,y,activation_ms,reactivations) when the name \
                  ends in .csv, a JSON object otherwise.")
   in
-  let run name width layout no_lut autovec spline engine tile specialize nx ny
-      dx dt steps sigma splitting protocol stim_width s2_start s1_count
-      s1_interval s2_coupling threads block_check health map_out ckpt_dir
-      ckpt_stride ckpt_keep final_digest =
-    let m = load_model name in
-    let cfg = config ~spline ~width ~layout ~no_lut ~autovec () in
-    if ckpt_dir <> None then begin
-      Obs.Tracer.reset ();
-      Obs.Tracer.enable ()
-    end;
-    let geom =
-      if ny <= 1 then Tissue.Geometry.cable ~n:nx ~dx
-      else Tissue.Geometry.sheet ~nx ~ny ~dx
+  let run mk (ts : Spec.tissue) dt steps threads health map_out checkpoint
+      final_digest =
+    let { Obs.Health.stride; _ } = Obs.Health.default_config in
+    let health = if health then Some { Spec.stride; policy = Abort } else None in
+    let s =
+      Session.create (mk ~threads ~dt ~steps ~health ~checkpoint (Spec.Tissue ts))
     in
-    let proto =
-      match protocol with
-      | `S1 -> Tissue.Protocol.s1 ~width:stim_width geom
-      | `S1s2 -> Tissue.Protocol.s1s2 ~width:stim_width ~s2_start geom
-      | `Restitution ->
-          Tissue.Protocol.restitution ~width:stim_width ~n_s1:s1_count
-            ~interval:s1_interval ~s2_coupling geom
-    in
-    let tcfg =
-      {
-        Tissue.Monodomain.default_config with
-        Tissue.Monodomain.sigma;
-        splitting;
-        block_check_ms = (if block_check > 0.0 then Some block_check else None);
-      }
-    in
-    let g = Codegen.Cache.generate cfg m in
-    let sim =
-      Tissue.Monodomain.create ~engine ~tile ~specialize ~config:tcfg
-        ~nthreads:threads g ~geom ~dt ~protocol:proto
-    in
-    let d = Tissue.Monodomain.driver sim in
-    if health then
-      Sim.Driver.enable_health
-        ~cfg:{ Obs.Health.default_config with policy = Obs.Health.Abort }
-        d;
-    let splitting_name =
-      match splitting with
-      | Tissue.Monodomain.Godunov -> "godunov"
-      | Tissue.Monodomain.Strang -> "strang"
-    in
-    let proto_kind =
-      match protocol with
-      | `S1 -> "s1"
-      | `S1s2 -> "s1s2"
-      | `Restitution -> "restitution"
-    in
-    let writer =
-      match ckpt_dir with
-      | None -> None
-      | Some dir ->
-          arm_signals ();
-          Some
-            (Obs.Recorder.create_writer ~keep:ckpt_keep
-               ~extra:
-                 [
-                   ("model_ref", name);
-                   ("steps_total", string_of_int steps);
-                   ("threads", string_of_int threads);
-                   ("cli_width", string_of_int width);
-                   ("cli_layout", layout);
-                   ("cli_no_lut", string_of_bool no_lut);
-                   ("cli_autovec", string_of_bool autovec);
-                   ("cli_spline", string_of_bool spline);
-                   ("engine_req", Sim.Driver.engine_name engine);
-                   ("nx", string_of_int nx);
-                   ("ny", string_of_int ny);
-                   ("dx_bits", bits_hex dx);
-                   ("sigma_bits", bits_hex sigma);
-                   ("splitting", splitting_name);
-                   ("protocol", proto_kind);
-                   ("stim_width", string_of_int stim_width);
-                   ("s2_start_bits", bits_hex s2_start);
-                   ("s1_count", string_of_int s1_count);
-                   ("s1_interval_bits", bits_hex s1_interval);
-                   ("s2_coupling_bits", bits_hex s2_coupling);
-                   ("block_check_bits", bits_hex block_check);
-                 ]
-               ~dir ~stride:ckpt_stride ())
-    in
+    let sim = Option.get (Session.tissue s) in
+    let geom = Tissue.Monodomain.geometry sim in
     Fmt.pr "# tissue model=%s %s engine=%s splitting=%s protocol=%s \
             dt=%gms sigma=%g threads=%d@."
-      m.name
+      (Session.model s).name
       (Tissue.Geometry.describe geom)
-      (Sim.Driver.engine_name d.Sim.Driver.engine)
-      splitting_name proto.Tissue.Protocol.name dt sigma threads;
-    let wall =
-      try Tissue.Monodomain.run ?ckpt:writer sim ~steps with
-      | Obs.Health.Tripped msg ->
-          Fmt.epr "%s@." msg;
-          Option.iter
-            (fun dir ->
-              dump_crash ~dir ~reason:"health-trip" ~message:msg ~d writer)
-            ckpt_dir;
-          exit 3
-      | Interrupted code ->
-          let msg = Printf.sprintf "interrupted by signal (exit %d)" code in
-          Fmt.epr "%s@." msg;
-          Option.iter
-            (fun dir ->
-              dump_crash ~dir ~reason:"signal" ~message:msg ~d writer)
-            ckpt_dir;
-          exit code
-    in
-    if final_digest || writer <> None then
-      Fmt.pr "# final state digest: %s@."
-        (Obs.Recorder.digest (Tissue.Monodomain.capture sim));
-    Option.iter
-      (fun dir ->
-        write_run_manifest ~dir ~kind:"tissue" ~m ~cfg ~d ~steps ~threads
-          ~wall_s:wall ~compute_s:wall
-          ~extra:
-            [
-              ("geometry", Obs.Json.Str (Tissue.Geometry.describe geom));
-              ("splitting", Obs.Json.Str splitting_name);
-              ("protocol", Obs.Json.Str proto.Tissue.Protocol.name);
-            ])
-      ckpt_dir;
+      (Sim.Driver.engine_name (Session.driver s).engine)
+      (Spec.splitting_name ts.splitting)
+      (Tissue.Monodomain.protocol sim).name dt ts.sigma threads;
+    or_exit (Session.run s ~steps);
+    Session.finish ~final_digest s;
+    let wall = Session.wall_s s in
     let act = Tissue.Monodomain.activation sim in
     let n = Tissue.Geometry.cells geom in
     Fmt.pr "# steps=%d time=%gms wall=%.3fs cells/sec=%.0f@." steps
-      (Tissue.Monodomain.time sim)
-      wall
+      (Tissue.Monodomain.time sim) wall
       (float_of_int (n * steps) /. wall);
     Fmt.pr "# activated %d/%d cell(s); %d reactivated; conduction block: %s@."
-      (Tissue.Activation.activated act)
-      n
+      (Tissue.Activation.activated act) n
       (Tissue.Activation.reactivated act)
       (if Tissue.Monodomain.blocked sim then "TRIPPED" else "no");
     let pa, pb = Tissue.Monodomain.probes sim in
-    (match Tissue.Monodomain.conduction_velocity sim with
+    let cv = Tissue.Monodomain.conduction_velocity sim in
+    (match cv with
     | Some cv ->
         Fmt.pr "# conduction velocity cells %d->%d: %.4f cm/ms (%.1f cm/s)@."
           pa pb cv (cv *. 1000.0)
@@ -937,27 +500,19 @@ let tissue_cmd =
         Fmt.pr "# conduction velocity cells %d->%d: wave did not reach both \
                 probes@."
           pa pb);
-    match map_out with
-    | None -> ()
-    | Some path ->
-        let text =
-          if Filename.check_suffix path ".csv" then
-            Tissue.Activation.to_csv act geom
-          else
-            Tissue.Activation.to_json
-              ?cv:(Tissue.Monodomain.conduction_velocity sim)
-              act geom
-        in
-        write_text path text;
-        Fmt.pr "# activation map -> %s@." path
+    Option.iter
+      (fun path ->
+        write_text path
+          (if Filename.check_suffix path ".csv" then
+             Tissue.Activation.to_csv act geom
+           else Tissue.Activation.to_json ?cv act geom);
+        Fmt.pr "# activation map -> %s@." path)
+      map_out
   in
   Cmd.v (Cmd.info "tissue" ~doc)
-    Term.(const run $ model_arg $ width_arg $ layout_arg $ no_lut_arg
-          $ autovec_arg $ spline_arg $ engine_arg $ tile_arg $ specialize_arg
-          $ nx $ ny $ dx $ dt $ steps $ sigma $ splitting $ protocol
-          $ stim_width $ s2_start $ s1_count $ s1_interval $ s2_coupling
-          $ threads $ block_check $ health $ map_out $ ckpt_dir_arg
-          $ ckpt_stride_arg $ ckpt_keep_arg $ final_digest_arg)
+    Term.(const run $ spec_term $ tissue_term $ dt_arg
+          $ steps_arg 5_000 "Number of time steps." $ threads_arg $ health
+          $ map_out $ checkpoint_term $ final_digest_arg)
 
 (* -- replay ---------------------------------------------------------- *)
 
@@ -965,174 +520,43 @@ let replay_cmd =
   let doc =
     "Resume a simulation from a flight-recorder checkpoint (written by \
      run/tissue/serve with --checkpoint-dir).  The checkpoint is \
-     self-describing: the model, configuration, engine and population \
-     are rebuilt from its metadata, the state buffers are restored \
-     bit-for-bit, and the remaining steps are executed.  The resumed \
-     trajectory finishes bitwise-identical to the uninterrupted run on \
-     every engine (native: the kernels' \u{2264} 2 ULP bound); compare \
-     the printed final state digests."
+     self-describing: the run is rebuilt from its metadata, the state \
+     buffers are restored bit-for-bit, and the remaining steps are \
+     executed.  The resumed trajectory finishes bitwise-identical to the \
+     uninterrupted run on every engine (native: the kernels' \u{2264} 2 \
+     ULP bound); compare the printed final state digests."
   in
-  let file =
-    Arg.(required & pos 0 (some Arg.file) None & info [] ~docv:"CHECKPOINT")
-  in
-  let threads = Arg.(value & opt int 1 & info [ "threads" ] ~docv:"T") in
-  let steps_override =
+  let steps =
     Arg.(value & opt (some int) None & info [ "steps" ] ~docv:"N"
            ~doc:"Steps to run from the checkpoint (default: the recorded \
                  total minus the checkpoint's step index).")
   in
-  let run file threads steps_override =
-    match Obs.Recorder.read file with
+  let run file threads steps =
+    match Session.resume ~threads ?steps file with
     | Error d ->
         Fmt.epr "%a@." (Easyml.Diag.pp ~file) d;
         exit 1
-    | Ok ck -> (
-        let req key =
-          match Obs.Recorder.meta ck key with
-          | Some v -> v
-          | None ->
-              Fmt.failwith "checkpoint lacks required metadata key %s" key
-        in
-        let opt key = Obs.Recorder.meta ck key in
-        let m =
-          load_model (match opt "model_ref" with
-                      | Some r -> r
-                      | None -> req "model")
-        in
-        let cfg =
-          config
-            ~spline:
-              (match opt "cli_spline" with
-              | Some b -> bool_of_string b
-              | None -> false)
-            ~width:
-              (match opt "cli_width" with
-              | Some w -> int_of_string w
-              | None -> int_of_string (req "width"))
-            ~layout:(match opt "cli_layout" with
-                     | Some l -> l
-                     | None -> req "layout")
-            ~no_lut:
-              (match opt "cli_no_lut" with
-              | Some b -> bool_of_string b
-              | None -> false)
-            ~autovec:
-              (match opt "cli_autovec" with
-              | Some b -> bool_of_string b
-              | None -> false)
-            ()
-        in
-        let engine =
-          let name = req "engine" in
-          match engine_of_name name with
-          | Some e -> e
-          | None -> Fmt.failwith "checkpoint names unknown engine %s" name
-        in
-        let tile = int_of_string (req "tile") in
-        let specialize = bool_of_string (req "specialized") in
-        let dt = of_bits_hex (req "dt_bits") in
-        let steps_total =
-          match opt "steps_total" with
-          | Some s -> int_of_string s
-          | None -> ck.Obs.Recorder.ck_step
-        in
-        let remaining =
-          match steps_override with
-          | Some s -> s
-          | None -> max 0 (steps_total - ck.Obs.Recorder.ck_step)
-        in
-        let g = Codegen.Cache.generate cfg m in
-        let kind =
-          match opt "kind" with Some k -> k | None -> "cell"
-        in
-        match kind with
-        | "cell" ->
-            let ncells = int_of_string (req "ncells") in
-            let d =
-              Sim.Driver.create ~engine ~tile ~specialize g ~ncells ~dt
-            in
-            (match Sim.Driver.restore d ck with
-            | Error diag ->
-                Fmt.epr "%a@." (Easyml.Diag.pp ~file) diag;
-                exit 1
-            | Ok () -> ());
-            Fmt.pr
-              "# replay %s: model=%s engine=%s resuming at step %d/%d \
-               t=%gms (+%d step(s))@."
-              file m.Easyml.Model.name
-              (Sim.Driver.engine_name d.Sim.Driver.engine)
-              ck.Obs.Recorder.ck_step steps_total (Sim.Driver.time d)
-              remaining;
-            let compute =
-              Sim.Driver.run ~nthreads:threads ~stim:Sim.Stim.default d
-                ~steps:remaining
-            in
-            Fmt.pr "# compute stage: %.3f s wall clock@." compute;
-            Fmt.pr "# final state digest: %s@."
-              (Obs.Recorder.digest (Sim.Driver.capture d))
-        | "tissue" ->
-            let nx = int_of_string (req "nx")
-            and ny = int_of_string (req "ny")
-            and dx = of_bits_hex (req "dx_bits") in
-            let geom =
-              if ny <= 1 then Tissue.Geometry.cable ~n:nx ~dx
-              else Tissue.Geometry.sheet ~nx ~ny ~dx
-            in
-            let stim_width = int_of_string (req "stim_width") in
-            let proto =
-              match req "protocol" with
-              | "s1" -> Tissue.Protocol.s1 ~width:stim_width geom
-              | "s1s2" ->
-                  Tissue.Protocol.s1s2 ~width:stim_width
-                    ~s2_start:(of_bits_hex (req "s2_start_bits"))
-                    geom
-              | "restitution" ->
-                  Tissue.Protocol.restitution ~width:stim_width
-                    ~n_s1:(int_of_string (req "s1_count"))
-                    ~interval:(of_bits_hex (req "s1_interval_bits"))
-                    ~s2_coupling:(of_bits_hex (req "s2_coupling_bits"))
-                    geom
-              | p -> Fmt.failwith "checkpoint names unknown protocol %s" p
-            in
-            let block_check = of_bits_hex (req "block_check_bits") in
-            let tcfg =
-              {
-                Tissue.Monodomain.default_config with
-                Tissue.Monodomain.sigma = of_bits_hex (req "sigma_bits");
-                splitting =
-                  (match req "splitting" with
-                  | "strang" -> Tissue.Monodomain.Strang
-                  | _ -> Tissue.Monodomain.Godunov);
-                block_check_ms =
-                  (if block_check > 0.0 then Some block_check else None);
-              }
-            in
-            let sim =
-              Tissue.Monodomain.create ~engine ~tile ~specialize ~config:tcfg
-                ~nthreads:threads g ~geom ~dt ~protocol:proto
-            in
-            (match Tissue.Monodomain.restore sim ck with
-            | Error diag ->
-                Fmt.epr "%a@." (Easyml.Diag.pp ~file) diag;
-                exit 1
-            | Ok () -> ());
-            let d = Tissue.Monodomain.driver sim in
-            Fmt.pr
-              "# replay %s: tissue model=%s %s engine=%s resuming at step \
-               %d/%d t=%gms (+%d step(s))@."
-              file m.Easyml.Model.name
-              (Tissue.Geometry.describe geom)
-              (Sim.Driver.engine_name d.Sim.Driver.engine)
-              ck.Obs.Recorder.ck_step steps_total
-              (Tissue.Monodomain.time sim) remaining;
-            let wall = Tissue.Monodomain.run sim ~steps:remaining in
-            Fmt.pr "# wall: %.3f s@." wall;
-            Fmt.pr "# final state digest: %s@."
-              (Obs.Recorder.digest (Tissue.Monodomain.capture sim))
-        | k -> Fmt.failwith "checkpoint has unknown kind %s" k)
+    | Ok (s, remaining) ->
+        let d = Session.driver s in
+        let tissue = Session.tissue s in
+        Fmt.pr "# replay %s: %s engine=%s resuming at step %d/%d t=%gms \
+                (+%d step(s))@."
+          file
+          (match tissue with
+          | None -> "model=" ^ (Session.model s).name
+          | Some m ->
+              Printf.sprintf "tissue model=%s %s" (Session.model s).name
+                (Tissue.Geometry.describe (Tissue.Monodomain.geometry m)))
+          (Sim.Driver.engine_name d.engine) d.steps_done (Session.spec s).steps
+          (Sim.Driver.time d) remaining;
+        or_exit (Session.run s ~steps:remaining);
+        if tissue = None then
+          Fmt.pr "# compute stage: %.3f s wall clock@." (Session.compute_s s)
+        else Fmt.pr "# wall: %.3f s@." (Session.wall_s s);
+        Fmt.pr "# final state digest: %s@." (Session.digest s)
   in
   Cmd.v (Cmd.info "replay" ~doc)
-    Term.(const run $ file $ threads $ steps_override)
+    Term.(const run $ file_arg "CHECKPOINT" $ threads_arg $ steps)
 
 (* -- profile -------------------------------------------------------- *)
 
@@ -1142,15 +566,6 @@ let profile_cmd =
      pipeline, kernel cache, per-step compute/update stages, per-Domain \
      chunks) and export the result."
   in
-  let cells =
-    Arg.(value & opt int 256 & info [ "cells" ] ~docv:"N" ~doc:"Number of cells.")
-  in
-  let steps =
-    Arg.(value & opt int 1000 & info [ "steps" ] ~docv:"N"
-           ~doc:"Number of time steps to profile.")
-  in
-  let dt = Arg.(value & opt float 0.01 & info [ "dt" ] ~docv:"MS") in
-  let threads = Arg.(value & opt int 1 & info [ "threads" ] ~docv:"T") in
   let format =
     Arg.(value
          & opt
@@ -1164,48 +579,37 @@ let profile_cmd =
                    chrome://tracing), or $(b,prometheus) (metrics text \
                    exposition).")
   in
-  let output =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
-           ~doc:"Write the export to a file instead of stdout.")
-  in
-  let run name width layout no_lut autovec spline engine tile specialize cells
-      steps dt threads format output =
-    let m = load_model name in
-    let cfg = config ~spline ~width ~layout ~no_lut ~autovec () in
+  let run mk cells steps dt threads format output =
     (* Clear the kernel cache so the compile half (passes, codegen,
        verification) shows up in the profile rather than being served
-       from a warm cache. *)
+       from a warm cache.  The health section rides along (Warn policy:
+       a sick model should still produce its profile). *)
     Codegen.Cache.clear ();
-    Obs.Tracer.reset ();
-    Obs.Tracer.enable ();
-    let g = Codegen.Cache.generate cfg m in
-    let d = Sim.Driver.create ~engine ~tile ~specialize g ~ncells:cells ~dt in
-    (* health section rides along in the profile (Warn policy: a sick
-       model should still produce its profile) *)
-    Sim.Driver.enable_health d;
-    let stim = Sim.Stim.default in
-    for _ = 1 to steps do
-      Sim.Driver.step ~nthreads:threads ~stim d
-    done;
+    let { Obs.Health.stride; policy; _ } = Obs.Health.default_config in
+    let s =
+      Session.create ~trace:true
+        (mk ~threads ~dt ~steps ~health:(Some { Spec.stride; policy })
+           ~checkpoint:None (Spec.Cells cells))
+    in
+    or_exit (Session.run s ~steps);
     Obs.Tracer.disable ();
     let snap = Obs.Tracer.snapshot () in
-    let health = Sim.Driver.health_snapshot d in
-    let native_line =
-      match Exec.Native.toolchain () with
-      | Some tc ->
-          Printf.sprintf "native backend: available (%s)\n" tc.Exec.Native.id
-      | None ->
-          "native backend: unavailable (no C compiler; --engine native \
-           falls back to batched)\n"
-    in
-    let build = build_info () in
+    let health = Sim.Driver.health_snapshot (Session.driver s) in
+    let build = Session.build_info () in
     let text =
       match format with
-      | `Summary -> native_line ^ Obs.Export.summary ?health ~build snap
+      | `Summary ->
+          (match Exec.Native.toolchain () with
+          | Some tc ->
+              Printf.sprintf "native backend: available (%s)\n" tc.Exec.Native.id
+          | None ->
+              "native backend: unavailable (no C compiler; --engine native \
+               falls back to batched)\n")
+          ^ Obs.Export.summary ?health ~build snap
       | `Chrome -> Obs.Export.chrome snap
       | `Prometheus -> Obs.Export.prometheus ?health ~build snap
     in
-    (match output with
+    match output with
     | None -> print_string text
     | Some path ->
         write_text path text;
@@ -1214,13 +618,13 @@ let profile_cmd =
           (List.length snap.Obs.Tracer.counters)
           (if snap.Obs.Tracer.dropped > 0 then
              Printf.sprintf ", %d dropped" snap.Obs.Tracer.dropped
-           else ""));
-    ignore g
+           else "")
   in
   Cmd.v (Cmd.info "profile" ~doc)
-    Term.(const run $ model_arg $ width_arg $ layout_arg $ no_lut_arg
-          $ autovec_arg $ spline_arg $ engine_arg $ tile_arg $ specialize_arg
-          $ cells $ steps $ dt $ threads $ format $ output)
+    Term.(const run $ spec_term $ cells_arg 256
+          $ steps_arg 1000 "Number of time steps to profile." $ dt_arg
+          $ threads_arg $ format
+          $ output_arg "Write the export to a file instead of stdout.")
 
 (* -- serve ----------------------------------------------------------- *)
 
@@ -1233,33 +637,15 @@ let serve_cmd =
      Vm out of range).  Stops cleanly on SIGINT/SIGTERM."
   in
   let port =
-    Arg.(value & opt int 9464 & info [ "port" ] ~docv:"P"
-           ~doc:"Listen port on 127.0.0.1 (0 picks an ephemeral port, \
-                 printed at startup).")
-  in
-  let cells =
-    Arg.(value & opt int 256 & info [ "cells" ] ~docv:"N" ~doc:"Number of cells.")
-  in
-  let steps =
-    Arg.(value & opt int 0 & info [ "steps" ] ~docv:"N"
-           ~doc:"Stop stepping after N steps but keep serving until a \
-                 signal arrives (0 = step until a signal arrives).")
-  in
-  let dt = Arg.(value & opt float 0.01 & info [ "dt" ] ~docv:"MS") in
-  let threads = Arg.(value & opt int 1 & info [ "threads" ] ~docv:"T") in
-  let health_stride =
-    Arg.(value & opt int 16 & info [ "health-stride" ] ~docv:"N"
-           ~doc:"Sample health every N steps.")
-  in
-  let refresh =
-    Arg.(value & opt int 200 & info [ "refresh" ] ~docv:"N"
-           ~doc:"Re-publish /metrics every N steps.")
-  in
-  let pace =
-    Arg.(value & opt float 0.0 & info [ "pace" ] ~docv:"SECONDS"
-           ~doc:"Sleep between steps (throttle a demo run; 0 = flat out).")
-  in
-  let tissue_flag =
+    int_opt "port" 9464 "P"
+      "Listen port on 127.0.0.1 (0 picks an ephemeral port, printed at \
+       startup)."
+  and health_stride = int_opt "health-stride" 16 "N" "Sample health every N steps."
+  and refresh = int_opt "refresh" 200 "N" "Re-publish /metrics every N steps."
+  and pace =
+    float_opt "pace" 0.0 "SECONDS"
+      "Sleep between steps (throttle a demo run; 0 = flat out)."
+  and tissue =
     Arg.(value & flag & info [ "tissue" ]
            ~doc:"Serve a tissue run instead of a single-cell population: \
                  a 1-D S1-paced monodomain cable of $(b,--cells) nodes, \
@@ -1267,170 +653,76 @@ let serve_cmd =
                  (activation coverage, conduction-block trips, measured \
                  conduction velocity) added to /metrics.")
   in
-  let run name width layout no_lut autovec spline engine tile specialize port
-      cells steps dt threads health_stride refresh pace tissue ckpt_dir
-      ckpt_stride ckpt_keep =
-    let m = load_model name in
-    let cfg = config ~spline ~width ~layout ~no_lut ~autovec () in
-    Obs.Tracer.reset ();
-    Obs.Tracer.enable ();
-    let g = Codegen.Cache.generate cfg m in
-    let tsim =
-      if not tissue then None
-      else begin
-        let n = max 2 cells in
-        let geom = Tissue.Geometry.cable ~n ~dx:0.01 in
-        let pulse =
-          Sim.Stim.make ~amplitude:80.0 ~start:1.0 ~duration:2.0
-            ~period:1000.0 ()
-        in
-        let proto =
-          {
-            Tissue.Protocol.name = "s1-paced";
-            stims = [ Sim.Stim.region pulse ~n ~lo:0 ~hi:(min 5 n) ];
-          }
-        in
-        let tcfg =
-          {
-            Tissue.Monodomain.default_config with
-            Tissue.Monodomain.block_check_ms = Some 100.0;
-          }
-        in
-        Some
-          (Tissue.Monodomain.create ~engine ~tile ~specialize ~config:tcfg
-             ~nthreads:threads g ~geom ~dt ~protocol:proto)
-      end
+  let run mk port cells steps dt threads stride refresh pace tissue
+      checkpoint =
+    let population =
+      if tissue then Spec.Tissue (Spec.paced_cable ~cells) else Spec.Cells cells
     in
-    let d =
-      match tsim with
-      | Some s -> Tissue.Monodomain.driver s
-      | None -> Sim.Driver.create ~engine ~tile ~specialize g ~ncells:cells ~dt
+    let s =
+      Session.create ~trace:true
+        (mk ~threads ~dt ~steps
+           ~health:(Some { Spec.stride; policy = Obs.Health.Warn })
+           ~checkpoint population)
     in
-    Sim.Driver.enable_health
-      ~cfg:
-        { Obs.Health.default_config with Obs.Health.stride = health_stride }
-      d;
-    let h = Option.get (Sim.Driver.health d) in
-    let stim = Sim.Stim.default in
-    let writer =
-      match ckpt_dir with
-      | None -> None
-      | Some dir ->
-          Some
-            (Obs.Recorder.create_writer ~keep:ckpt_keep
-               ~extra:
-                 [
-                   ("model_ref", name);
-                   ("steps_total", string_of_int steps);
-                   ("threads", string_of_int threads);
-                 ]
-               ~dir ~stride:ckpt_stride ())
-    in
+    let h = Option.get (Sim.Driver.health (Session.driver s)) in
     (* The sim loop publishes the exposition between steps; the HTTP
-       thread only ever reads these atomics, so it never races the
+       thread only ever reads this atomic, so it never races the
        tracer's or the monitor's internals. *)
-    let build = build_info () in
     let metrics = Atomic.make "" in
-    let publish () =
-      let snap = Obs.Tracer.snapshot () in
-      let health = Sim.Driver.health_snapshot d in
-      let tissue = Option.map Tissue.Monodomain.stats tsim in
-      let checkpoint = Option.map Obs.Recorder.stats writer in
-      let progress =
-        {
-          Obs.Export.pg_model = m.name;
-          pg_step = d.Sim.Driver.steps_done;
-          pg_steps_total = steps;
-          pg_time_ms = Sim.Driver.time d;
-        }
-      in
-      Atomic.set metrics
-        (Obs.Export.prometheus ?health ?tissue ~build ?checkpoint ~progress
-           snap)
-    in
+    let publish () = Atomic.set metrics (Session.metrics s) in
     publish ();
     let stop = Atomic.make false in
     let request_stop _ = Atomic.set stop true in
     Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop);
     Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop);
-    let strip_query path =
-      match String.index_opt path '?' with
-      | Some i -> String.sub path 0 i
-      | None -> path
+    let reply ?(content_type = "text/plain") status body =
+      Some { Obs.Httpd.status; content_type; body }
     in
     let server =
       Obs.Httpd.start ~port (fun path ->
-          match strip_query path with
+          match List.hd (String.split_on_char '?' path) with
           | "/metrics" ->
-              Some
-                {
-                  Obs.Httpd.status = 200;
-                  content_type = "text/plain; version=0.0.4";
-                  body = Atomic.get metrics;
-                }
+              reply ~content_type:"text/plain; version=0.0.4" 200
+                (Atomic.get metrics)
           | "/healthz" ->
-              if Obs.Health.unhealthy h then
-                Some
-                  {
-                    Obs.Httpd.status = 503;
-                    content_type = "text/plain";
-                    body = "unhealthy\n";
-                  }
-              else
-                Some
-                  {
-                    Obs.Httpd.status = 200;
-                    content_type = "text/plain";
-                    body = "ok\n";
-                  }
+              if Obs.Health.unhealthy h then reply 503 "unhealthy\n"
+              else reply 200 "ok\n"
           | _ -> None)
     in
     Fmt.pr "# serving model=%s on http://127.0.0.1:%d (/metrics, /healthz); \
             cells=%d dt=%gms health-stride=%d@."
-      m.name (Obs.Httpd.port server) cells dt health_stride;
-    (try
-       let n = ref 0 in
-       while
-         (not (Atomic.get stop)) && (steps = 0 || !n < steps)
-       do
-         (match tsim with
-         | Some s -> Tissue.Monodomain.step s
-         | None -> Sim.Driver.step ~nthreads:threads ~stim d);
-         incr n;
-         (match writer with
-         | Some w when Obs.Recorder.due w ~step:d.Sim.Driver.steps_done ->
-             let ck =
-               match tsim with
-               | Some s -> Tissue.Monodomain.capture s
-               | None -> Sim.Driver.capture d
-             in
-             ignore (Obs.Recorder.record w ck)
-         | _ -> ());
-         if !n mod refresh = 0 then publish ();
-         if pace > 0.0 then Unix.sleepf pace
-       done;
-       publish ();
-       if steps > 0 && !n >= steps then
-         Fmt.pr "# %d step(s) done; still serving (SIGINT/SIGTERM to stop)@."
-           !n;
-       while not (Atomic.get stop) do
-         Unix.sleepf 0.05
-       done
-     with Obs.Health.Tripped msg ->
-       (* Warn policy never raises; belt and braces for custom configs *)
-       Fmt.epr "%s@." msg);
+      (Session.model s).name (Obs.Httpd.port server) cells dt stride;
+    let on_step n =
+      if n mod refresh = 0 then publish ();
+      if pace > 0.0 then Unix.sleepf pace
+    in
+    (match
+       Session.run ~on_step ~stop:(fun () -> Atomic.get stop) s
+         ~steps:(if steps = 0 then max_int else steps)
+     with
+    | Ok n ->
+        publish ();
+        if steps > 0 && n >= steps then
+          Fmt.pr "# %d step(s) done; still serving (SIGINT/SIGTERM to stop)@." n;
+        while not (Atomic.get stop) do
+          Unix.sleepf 0.05
+        done
+    | Error f ->
+        (* the Warn policy never trips; belt and braces *)
+        Fmt.epr "%s@." f.message);
     Obs.Httpd.stop server;
     Obs.Tracer.disable ();
     Fmt.pr "# stopped cleanly@."
   in
   Cmd.v (Cmd.info "serve" ~doc)
-    Term.(const run $ model_arg $ width_arg $ layout_arg $ no_lut_arg
-          $ autovec_arg $ spline_arg $ engine_arg $ tile_arg $ specialize_arg
-          $ port $ cells $ steps $ dt $ threads $ health_stride $ refresh
-          $ pace $ tissue_flag $ ckpt_dir_arg $ ckpt_stride_arg
-          $ ckpt_keep_arg)
+    Term.(const run $ spec_term $ port $ cells_arg 256
+          $ steps_arg 0
+              "Stop stepping after N steps but keep serving until a signal \
+               arrives (0 = step until a signal arrives)."
+          $ dt_arg $ threads_arg $ health_stride $ refresh $ pace $ tissue
+          $ checkpoint_term)
 
-(* -- validate-metrics ------------------------------------------------ *)
+(* -- validate-metrics, passes, cost, import-mmt ---------------------- *)
 
 let validate_metrics_cmd =
   let doc =
@@ -1439,25 +731,19 @@ let validate_metrics_cmd =
      charsets, label escaping, sample values.  Exits 1 on the first \
      violation."
   in
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let run file =
-    let ic = open_in_bin file in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Obs.Export.validate_prometheus text with
+    match Obs.Export.validate_prometheus (read_text file) with
     | Ok n -> Fmt.pr "%s: %d sample(s), exposition OK@." file n
     | Error e ->
         Fmt.epr "%s: %s@." file e;
         exit 1
   in
-  Cmd.v (Cmd.info "validate-metrics" ~doc) Term.(const run $ file)
-
-(* -- passes --------------------------------------------------------- *)
+  Cmd.v (Cmd.info "validate-metrics" ~doc) Term.(const run $ file_arg "FILE")
 
 let passes_cmd =
   let doc = "Show per-pass op-count reductions on a model's kernel." in
   let run name width =
-    let m = load_model name in
+    let m = Spec.load_model name in
     let cfg =
       if width = 1 then Codegen.Config.baseline else Codegen.Config.mlir ~width
     in
@@ -1478,41 +764,13 @@ let passes_cmd =
   in
   Cmd.v (Cmd.info "passes" ~doc) Term.(const run $ model_arg $ width_arg)
 
-(* -- parse ---------------------------------------------------------- *)
-
-let parse_cmd =
-  let doc = "Parse and verify a saved IR module (emit -o output)." in
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
-  let run file =
-    let ic = open_in_bin file in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Ir.Parser.parse_module_result text with
-    | Error e -> Fmt.epr "parse error: %s@." e
-    | Ok m -> (
-        match Ir.Verifier.verify_module m with
-        | [] ->
-            Fmt.pr "%s: %d function(s), %d ops, verifies OK@." m.Ir.Func.m_name
-              (List.length m.Ir.Func.m_funcs)
-              (List.fold_left (fun n f -> n + Ir.Func.op_count f) 0
-                 m.Ir.Func.m_funcs)
-        | errs -> Fmt.epr "%s@." (Ir.Verifier.errors_to_string errs))
-  in
-  Cmd.v (Cmd.info "parse" ~doc) Term.(const run $ file)
-
-(* -- cost ----------------------------------------------------------- *)
-
 let cost_cmd =
   let doc =
     "Machine-model analysis of a model's kernel: per-cell cycles, flops, \
      bytes, roofline position and projected runtime."
   in
-  let cells = Arg.(value & opt int 8192 & info [ "cells" ] ~docv:"N") in
-  let steps = Arg.(value & opt int 100_000 & info [ "steps" ] ~docv:"N") in
-  let threads = Arg.(value & opt int 1 & info [ "threads" ] ~docv:"T") in
-  let run name width layout no_lut autovec spline cells steps threads =
-    let m = load_model name in
-    let cfg = config ~spline ~width ~layout ~no_lut ~autovec () in
+  let run name cfg cells steps threads =
+    let m = Spec.load_model name in
     let g = Codegen.Cache.generate cfg m in
     let k = Machine.Kcost.of_kernel g in
     Fmt.pr "kernel %s (%s)@." m.name (Codegen.Config.describe cfg);
@@ -1531,34 +789,27 @@ let cost_cmd =
       r.Machine.Perfmodel.oi
   in
   Cmd.v (Cmd.info "cost" ~doc)
-    Term.(const run $ model_arg $ width_arg $ layout_arg $ no_lut_arg
-          $ autovec_arg $ spline_arg $ cells $ steps $ threads)
-
-(* -- import-mmt ------------------------------------------------------ *)
+    Term.(const run $ model_arg $ config_term $ cells_arg 8192
+          $ Arg.(value & opt int 100_000 & info [ "steps" ] ~docv:"N")
+          $ threads_arg)
 
 let import_mmt_cmd =
   let doc =
     "Translate a Myokit MMT file to EasyML (the 'external translators' box \
      of the paper's Figure 1)."
   in
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let vm =
     Arg.(value & opt string "membrane.V" & info [ "vm" ] ~docv:"COMP.VAR"
            ~doc:"Variable exported as the Vm external.")
-  in
-  let iion =
+  and iion =
     Arg.(value & opt string "membrane.i_ion" & info [ "iion" ] ~docv:"COMP.VAR"
            ~doc:"Variable exported as the Iion external output.")
-  in
-  let check =
+  and check =
     Arg.(value & flag & info [ "check" ]
            ~doc:"Also analyze, generate and verify the translated model.")
   in
   let run file vm iion check =
-    let ic = open_in_bin file in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    let t = Easyml.Mmt.parse text in
+    let t = Easyml.Mmt.parse (read_text file) in
     let easyml = Easyml.Mmt.to_easyml ~vm ~iion t in
     print_string easyml;
     if check then begin
@@ -1570,7 +821,7 @@ let import_mmt_cmd =
     end
   in
   Cmd.v (Cmd.info "import-mmt" ~doc)
-    Term.(const run $ file $ vm $ iion $ check)
+    Term.(const run $ file_arg "FILE" $ vm $ iion $ check)
 
 let main =
   let doc =

@@ -39,6 +39,15 @@ val meta : checkpoint -> string -> string option
 val set_meta : checkpoint -> string -> string -> checkpoint
 (** Replace (or append) one metadata binding, preserving order. *)
 
+val hex_of_float : float -> string
+(** The 16 hex digits of a float's [Int64] bit pattern — the one float
+    codec of checkpoint sections and of float-valued metadata
+    ([dt_bits], [sigma_bits], …). *)
+
+val float_of_hex : string -> float option
+(** Inverse of {!hex_of_float}; [None] unless the token is exactly 16
+    hex digits. *)
+
 val digest : checkpoint -> string
 (** MD5 hex over the step index, the clock's Int64 bits and every
     section's name and Int64 float bit patterns, in order.  Metadata is

@@ -355,9 +355,6 @@ let engine_name = function
   | Reference -> "interp"
   | Native -> "native"
 
-let float_bits_hex (v : float) : string =
-  Printf.sprintf "%016Lx" (Int64.bits_of_float v)
-
 (** Snapshot every mutable buffer of this driver into a checkpoint: the
     state variables (in whatever layout the config picked), every
     external array, the parameter buffer, the step index and the
@@ -392,7 +389,7 @@ let capture (d : t) : Obs.Recorder.checkpoint =
         ("nvars", string_of_int d.gen.Codegen.Kernel.nvars);
         ("ncells", string_of_int d.ncells);
         ("ncells_pad", string_of_int d.ncells_pad);
-        ("dt_bits", float_bits_hex d.dt);
+        ("dt_bits", Obs.Recorder.hex_of_float d.dt);
         ("engine", engine_name d.engine);
         ("tile", string_of_int d.tile);
         ("specialized", string_of_bool d.specialized);
@@ -425,12 +422,13 @@ let restore (d : t) (ck : Obs.Recorder.checkpoint) :
   in
   let cfg = d.gen.Codegen.Kernel.cfg in
   let* () = check "model" d.gen.Codegen.Kernel.model.M.name in
+  let* () = check "config" (Codegen.Config.describe cfg) in
   let* () = check "layout" (Runtime.Layout.name cfg.Codegen.Config.layout) in
   let* () = check "width" (string_of_int cfg.Codegen.Config.width) in
   let* () = check "nvars" (string_of_int d.gen.Codegen.Kernel.nvars) in
   let* () = check "ncells" (string_of_int d.ncells) in
   let* () = check "ncells_pad" (string_of_int d.ncells_pad) in
-  let* () = check "dt_bits" (float_bits_hex d.dt) in
+  let* () = check "dt_bits" (Obs.Recorder.hex_of_float d.dt) in
   let blit name (dst : floatarray) =
     match
       List.find_opt

@@ -186,8 +186,10 @@ val capture : t -> Obs.Recorder.checkpoint
 
 val restore : t -> Obs.Recorder.checkpoint -> (unit, Easyml.Diag.t) result
 (** Load a {!capture}d checkpoint into a driver created with the same
-    model, config, population and [dt].  Any mismatch (model, layout,
-    width, cell counts, [dt] bits, missing or mis-sized sections) is a
+    model, config, population and [dt].  Any mismatch (model, config
+    — {!Codegen.Config.describe}, so LUT, spline, svml and parameter
+    folding too — layout, width, cell counts, [dt] bits, missing or
+    mis-sized sections) is a
     structured [checkpoint-mismatch] diagnostic and the driver is left
     unmodified enough to discard; on [Ok ()] the driver continues
     bitwise identically to the uninterrupted run.  Sections the driver

@@ -272,19 +272,10 @@ let restore (m : t) (ck : Obs.Recorder.checkpoint) :
   m.block_tripped <- block_tripped;
   Ok ()
 
-let run ?ckpt (m : t) ~(steps : int) : float =
+let run (m : t) ~(steps : int) : float =
   let t0 = Unix.gettimeofday () in
-  let maybe_ckpt () =
-    match ckpt with
-    | Some w
-      when Obs.Recorder.due w ~step:m.driver.Driver.steps_done ->
-        Obs.Tracer.with_span "tissue.checkpoint" (fun () ->
-            ignore (Obs.Recorder.record w (capture m)))
-    | _ -> ()
-  in
   for _ = 1 to steps do
-    step m;
-    maybe_ckpt ()
+    step m
   done;
   Unix.gettimeofday () -. t0
 

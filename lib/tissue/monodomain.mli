@@ -10,8 +10,9 @@
     {b Splitting order} (test-pinned, see DESIGN.md §12):
     - [Godunov] — per step: (1) ionic compute stage at the current state,
       (2) IMEX exchange+diffusion
-      [(I − dt·λ·L) Vm' = Vm + dt·(Istim − Iion)/Cm] — exactly the
-      {!Solver.Cable.step} convention, first-order in the splitting.
+      [(I − dt·λ·L) Vm' = Vm + dt·(Istim − Iion)/Cm]: diffusion
+      implicit, reaction explicit, one {!Diffusion.solve} per step —
+      first-order in the splitting.
     - [Strang] — per step: (1) implicit diffusion over [dt/2], (2) the
       full-[dt] ionic stage plus explicit reaction update
       [Vm += dt·(Istim − Iion)/Cm], (3) implicit diffusion over [dt/2]
@@ -82,12 +83,10 @@ val step : t -> unit
     record {!Obs.Tracer} spans ([tissue.ionic], [tissue.exchange],
     [tissue.diffusion]) when tracing is enabled. *)
 
-val run : ?ckpt:Obs.Recorder.writer -> t -> steps:int -> float
-(** [steps] full steps; returns total wall-clock seconds.  [?ckpt]
-    attaches a flight recorder: after any step whose index is due
-    ({!Obs.Recorder.due}) the simulation {!capture}s itself and records
-    the checkpoint.  Captures copy every buffer, so a checkpointed run
-    is bitwise identical to a plain one. *)
+val run : t -> steps:int -> float
+(** [steps] full steps; returns total wall-clock seconds.  A caller
+    that checkpoints calls {!step} itself and records a {!capture}
+    after every due step. *)
 
 val probes : t -> int * int
 val conduction_velocity : t -> float option

@@ -42,6 +42,11 @@ let s1 ?(amplitude = 80.0) ?(start = 1.0) ?(duration = 2.0) ?(width = 5)
     stims = [ Stim.weighted pulse (strip_mask g ~width) ];
   }
 
+let s1_paced ?(amplitude = 80.0) ?(start = 1.0) ?(duration = 2.0)
+    ?(width = 5) ~(period : float) (g : Geometry.t) : t =
+  let pulse = Stim.make ~amplitude ~start ~duration ~period () in
+  { name = "s1-paced"; stims = [ Stim.weighted pulse (strip_mask g ~width) ] }
+
 let s1s2 ?(amplitude = 80.0) ?(start = 1.0) ?(duration = 2.0) ?(width = 5)
     ~(s2_start : float) (g : Geometry.t) : t =
   let p1 = Stim.make ~amplitude ~start ~duration () in

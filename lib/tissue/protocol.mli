@@ -24,6 +24,18 @@ val s1 :
     amplitude 80 µA/µF, start 1 ms, duration 2 ms): launches a plane
     wave travelling in +x. *)
 
+val s1_paced :
+  ?amplitude:float ->
+  ?start:float ->
+  ?duration:float ->
+  ?width:int ->
+  period:float ->
+  Geometry.t ->
+  t
+(** {!s1} repeated every [period] ms for as long as the run lasts, named
+    ["s1-paced"]: the steady pacing that [limpetmlir serve --tissue]
+    drives its cable with. *)
+
 val s1s2 :
   ?amplitude:float ->
   ?start:float ->

@@ -22,6 +22,7 @@ let () =
       ("machine", Test_machine.suite);
       ("obs", Test_obs.suite);
       ("recorder", Test_recorder.suite);
+      ("app", Test_app.suite);
       ("health", Test_health.suite);
       ("transval", Test_transval.suite);
       ("native", Test_native.suite);
