@@ -144,6 +144,19 @@ let or_exit : (int, Session.failure) result -> unit = function
       Option.iter (Fmt.epr "# crash dump -> %s@.") bundle;
       exit code
 
+(* A model reference that resolves to nothing is a diagnostic and exit 1,
+   never an uncaught exception. *)
+let or_diag ~(file : string) : ('a, Easyml.Diag.t) result -> 'a = function
+  | Ok x -> x
+  | Error d ->
+      Fmt.epr "%a@." (Easyml.Diag.pp ~file) d;
+      exit 1
+
+let load_model name = or_diag ~file:name (Spec.load_model name)
+
+let create ?trace (spec : Spec.t) =
+  or_diag ~file:spec.model (Session.create ?trace spec)
+
 (* -- list, inspect -------------------------------------------------- *)
 
 let list_cmd =
@@ -169,7 +182,7 @@ let list_cmd =
 let inspect_cmd =
   let doc = "Show the analyzed form of a model." in
   let run name =
-    let m = Spec.load_model name in
+    let m = load_model name in
     Fmt.pr "%a@." Easyml.Model.pp m;
     List.iter (fun d -> Fmt.pr "%a@." (Easyml.Diag.pp ~file:name) d) m.warnings
   in
@@ -267,7 +280,7 @@ let emit_cmd =
                  a provenance header) instead of the IR itself.")
   in
   let run name cfg no_opt c_out output =
-    let m = Spec.load_model name in
+    let m = load_model name in
     let g = Codegen.Cache.generate ~optimize:(not no_opt) cfg m in
     (match Ir.Verifier.verify_module g.modl with
     | [] -> ()
@@ -347,7 +360,7 @@ let run_cmd =
     if validate then Codegen.Cache.set_validation true;
     let s =
       try
-        Session.create ~trace:(trace <> None)
+        create ~trace:(trace <> None)
           (mk ~threads ~dt ~steps ~health ~checkpoint (Spec.Cells cells))
       with Codegen.Cache.Validation_failed cert ->
         Fmt.epr "translation validation refuted pass %s:@.%s@."
@@ -467,7 +480,7 @@ let tissue_cmd =
     let { Obs.Health.stride; _ } = Obs.Health.default_config in
     let health = if health then Some { Spec.stride; policy = Abort } else None in
     let s =
-      Session.create (mk ~threads ~dt ~steps ~health ~checkpoint (Spec.Tissue ts))
+      create (mk ~threads ~dt ~steps ~health ~checkpoint (Spec.Tissue ts))
     in
     let sim = Option.get (Session.tissue s) in
     let geom = Tissue.Monodomain.geometry sim in
@@ -587,7 +600,7 @@ let profile_cmd =
     Codegen.Cache.clear ();
     let { Obs.Health.stride; policy; _ } = Obs.Health.default_config in
     let s =
-      Session.create ~trace:true
+      create ~trace:true
         (mk ~threads ~dt ~steps ~health:(Some { Spec.stride; policy })
            ~checkpoint:None (Spec.Cells cells))
     in
@@ -659,7 +672,7 @@ let serve_cmd =
       if tissue then Spec.Tissue (Spec.paced_cable ~cells) else Spec.Cells cells
     in
     let s =
-      Session.create ~trace:true
+      create ~trace:true
         (mk ~threads ~dt ~steps
            ~health:(Some { Spec.stride; policy = Obs.Health.Warn })
            ~checkpoint population)
@@ -743,7 +756,7 @@ let validate_metrics_cmd =
 let passes_cmd =
   let doc = "Show per-pass op-count reductions on a model's kernel." in
   let run name width =
-    let m = Spec.load_model name in
+    let m = load_model name in
     let cfg =
       if width = 1 then Codegen.Config.baseline else Codegen.Config.mlir ~width
     in
@@ -770,7 +783,7 @@ let cost_cmd =
      bytes, roofline position and projected runtime."
   in
   let run name cfg cells steps threads =
-    let m = Spec.load_model name in
+    let m = load_model name in
     let g = Codegen.Cache.generate cfg m in
     let k = Machine.Kcost.of_kernel g in
     Fmt.pr "kernel %s (%s)@." m.name (Codegen.Config.describe cfg);

@@ -23,7 +23,8 @@ let with_kernel emit ~code (cfg : Codegen.Config.t) f =
 let model ~deep ~validate emit (name : string) : unit =
   match Spec.load_model name with
   | exception e -> emit (error "load-failed" "%s" (Printexc.to_string e))
-  | m ->
+  | Error d -> emit d
+  | Ok m ->
       List.iter emit (Analysis.Lint.check m);
       if deep then
         List.iter

@@ -33,8 +33,7 @@ let build_info () : Obs.Export.build_info =
     bi_toolchain = toolchain ();
   }
 
-let create ?(trace = false) (spec : Spec.t) : t =
-  let model = Spec.load_model spec.model in
+let build ~trace (spec : Spec.t) (model : Easyml.Model.t) : t =
   let config = Spec.config spec in
   if trace || spec.checkpoint <> None then begin
     Obs.Tracer.reset ();
@@ -69,6 +68,9 @@ let create ?(trace = false) (spec : Spec.t) : t =
   in
   { spec; model; config; kernel; sim; driver; writer; compute_s = 0.0;
     wall_s = 0.0 }
+
+let create ?(trace = false) (spec : Spec.t) : (t, Easyml.Diag.t) result =
+  Result.map (build ~trace spec) (Spec.load_model spec.model)
 
 let spec s = s.spec
 let model s = s.model
@@ -261,7 +263,7 @@ let resume ~threads ?steps (file : string) =
   let* spec = Spec.of_meta ck.Obs.Recorder.ck_meta in
   let* s =
     match create { spec with threads } with
-    | s -> Ok s
+    | r -> r
     | exception e ->
         Error
           (Easyml.Diag.makef ~sev:Easyml.Diag.Error ~code:"replay-failed"

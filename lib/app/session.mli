@@ -13,7 +13,7 @@ val build_info : unit -> Obs.Export.build_info
 (** Version, OCaml, pass pipeline and C toolchain, as recorded in
     manifests, crash reports and [/metrics]. *)
 
-val create : ?trace:bool -> Spec.t -> t
+val create : ?trace:bool -> Spec.t -> (t, Easyml.Diag.t) result
 (** Load the model, generate (and cache) the kernel, and build a
     {!Sim.Driver} for a cell population or a {!Tissue.Monodomain} for a
     tissue.  Attaches the health monitor and the checkpoint writer the
@@ -21,7 +21,8 @@ val create : ?trace:bool -> Spec.t -> t
     checkpoint.  With [trace] (default false) or a checkpoint writer,
     the tracer is reset and enabled before code generation, so a crash
     dump carries the recent events.
-    @raise Failure on an unknown model or layout,
+    An unknown model is {!Spec.load_model}'s diagnostic.
+    @raise Failure on an unknown layout,
     [Codegen.Cache.Validation_failed] when validation is on and refutes
     a pass, [Sim.Driver.Driver_error] on a bad population or [dt]. *)
 

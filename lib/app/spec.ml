@@ -40,15 +40,18 @@ type t = {
   checkpoint : checkpoint option;
 }
 
-let load_model (name : string) : Easyml.Model.t =
+let load_model (name : string) : (Easyml.Model.t, Easyml.Diag.t) result =
   match Models.Registry.find name with
-  | Some e -> Models.Registry.model e
+  | Some e -> Ok (Models.Registry.model e)
+  | None when Sys.file_exists name ->
+      Ok
+        (Easyml.Sema.analyze_source
+           ~name:Filename.(remove_extension (basename name))
+           (In_channel.with_open_bin name In_channel.input_all))
   | None ->
-      if Sys.file_exists name then
-        Easyml.Sema.analyze_source
-          ~name:Filename.(remove_extension (basename name))
-          (In_channel.with_open_bin name In_channel.input_all)
-      else Fmt.failwith "unknown model %s (not in registry, not a file)" name
+      Error
+        (Easyml.Diag.makef ~sev:Easyml.Diag.Error ~code:"unknown-model"
+           "unknown model %s (not in registry, not a file)" name)
 
 let codegen_config ~width ~layout ~no_lut ~autovec ~spline : Codegen.Config.t
     =

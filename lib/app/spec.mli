@@ -94,11 +94,10 @@ type t = {
   checkpoint : checkpoint option;
 }
 
-val load_model : string -> Easyml.Model.t
+val load_model : string -> (Easyml.Model.t, Easyml.Diag.t) result
 (** Resolve a model reference: the bundled registry first, else an
-    EasyML file.
-    @raise Failure when it is neither; [Easyml.Sema.Error] on a bad
-    file. *)
+    EasyML file.  Neither is an [unknown-model] error diagnostic.
+    @raise Easyml.Sema.Error on a bad file. *)
 
 val codegen_config :
   width:int -> layout:string -> no_lut:bool -> autovec:bool -> spline:bool ->

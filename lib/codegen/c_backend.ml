@@ -1,11 +1,22 @@
 (* C backend: lowered IR -> one self-contained C translation unit.
 
-   Every SSA value becomes a C local ([v<id>]); scalars map to
-   double/int64_t/int, vectors to fixed-size stack arrays written by
-   constant-trip-count lane loops that cc -O3 unrolls and SLP-vectorizes.
-   scf.for becomes a plain countable [for] (the compute kernel's parallel
-   tile loop auto-vectorizes), scf.if becomes an if/else assigning
-   pre-declared result locals.
+   Every SSA value becomes a C local ([v<id>]).  Scalars map to
+   double/int64_t/int; vectors map to GNU vector types declared once per
+   unit — [vdN] (N doubles) for f64 lanes, [vlN] (N int64_t) for i64 lanes
+   and for i1 masks — so the vectors explicit in the IR reach cc as
+   vectors instead of being rediscovered from scalar lane loops.
+   Element-wise arithmetic, compares and bitwise ops are whole-vector C
+   expressions; select is a bit-blend over the compare mask; splats,
+   broadcasts and iota are brace initializers; contiguous loads and
+   stores are one memcpy of the whole vector.  A per-lane loop remains
+   only where C has no bit-exact vector form: libm calls, ml_fmin/ml_fmax,
+   fmod, gather/scatter and the LUT helpers.  scf.for becomes a plain
+   countable [for], scf.if an if/else assigning pre-declared result
+   locals.
+
+   Mask convention: a vector i1 is 0 or -1 (all bits set) per lane — what
+   a GNU vector compare yields — so select can blend by bits; a scalar i1
+   is an [int] 0 or 1, and extracting a mask lane normalizes to that.
 
    Bitwise parity with the OCaml engines is the design constraint, not an
    accident:
@@ -42,6 +53,13 @@ let scalar_cty : Ty.t -> string = function
   | Ty.I64 -> "int64_t"
   | Ty.I1 -> "int"
   | t -> unsupported "no scalar C type for %s" (Ty.to_string t)
+
+(* C type of any SSA value: vectors are the GNU vector typedefs that
+   [typedefs] declares. *)
+let cty : Ty.t -> string = function
+  | Ty.Vec (w, Ty.F64) -> Printf.sprintf "vd%d" w
+  | Ty.Vec (w, (Ty.I64 | Ty.I1)) -> Printf.sprintf "vl%d" w
+  | t -> scalar_cty t
 
 (* Exact-bit float literals.  %h prints C99 hex floats; NaN/inf have no
    literal syntax, so synthesize them arithmetically (evaluated at
@@ -86,18 +104,14 @@ let vname ctx (v : Value.t) : string =
 
 (* Declare (without initializing) storage for a value. *)
 let decl ctx ind (v : Value.t) : unit =
-  match v.Value.ty with
-  | Ty.Vec (w, e) -> pr ctx ind "%s %s[%d];" (scalar_cty e) (vname ctx v) w
-  | t -> pr ctx ind "%s %s;" (scalar_cty t) (vname ctx v)
+  pr ctx ind "%s %s;" (cty v.Value.ty) (vname ctx v)
 
-(* Assign previously-declared [dst] from the local named [src]
-   (element-wise for vectors — C arrays are not assignable). *)
+(* Assign previously-declared [dst] from the local named [src]. *)
 let assign ctx ind (dst : Value.t) (src : string) : unit =
-  match dst.Value.ty with
-  | Ty.Vec (w, _) ->
-      pr ctx ind "for (int l = 0; l < %d; l++) %s[l] = %s[l];" w
-        (vname ctx dst) src
-  | _ -> pr ctx ind "%s = %s;" (vname ctx dst) src
+  pr ctx ind "%s = %s;" (vname ctx dst) src
+
+(* Vector initializer from per-lane expressions. *)
+let braces (lanes : string list) : string = "{" ^ String.concat ", " lanes ^ "}"
 
 let cmp_op : Op.cmp -> string = function
   | Op.Lt -> "<"
@@ -130,8 +144,9 @@ let ibin_expr (k : Op.ibin) (a : string) (b : string) : string =
   Printf.sprintf "(%s %s %s)" a op b
 
 let bbin_expr (k : Op.bbin) (a : string) (b : string) : string =
-  (* bool-like values are canonical 0/1, so bitwise ops implement the
-     (non-short-circuiting, as in Lower) logical connectives *)
+  (* bool-like values are canonical (0/1 scalars, 0/-1 mask lanes), so
+     bitwise ops implement the (non-short-circuiting, as in Lower) logical
+     connectives *)
   let op = match k with Op.BAnd -> "&" | Op.BOr -> "|" | Op.BXor -> "^" in
   Printf.sprintf "(%s %s %s)" a op b
 
@@ -226,28 +241,33 @@ let mark_const ctx (o : Op.op) : unit =
         else if all_operands_pconst ctx o then mark_p ()
   | _ -> ()
 
-(* Element-wise op: scalar result defines a local directly; vector result
-   declares an array and fills it with a constant-bound lane loop.
-   Scalar operands inside a vector op (none today post-verifier) stay
-   unindexed. *)
+(* Element-wise op whose C expression reads the same over scalars and
+   GNU vectors: one definition of the result local. *)
 let emit_ew ctx ind (o : Op.op) (f : string array -> string) : unit =
+  let r = o.Op.results.(0) in
+  pr ctx ind "%s %s = %s;" (cty r.Value.ty) (vname ctx r)
+    (f (operand_names ctx o))
+
+(* Lane [l] of each vector operand; scalar operands as they are. *)
+let lane_names ctx (o : Op.op) : string array =
+  Array.map
+    (fun (v : Value.t) ->
+      match v.Value.ty with
+      | Ty.Vec _ -> vname ctx v ^ "[l]"
+      | _ -> vname ctx v)
+    o.Op.operands
+
+(* Element-wise op with no bit-exact C vector form (libm calls,
+   ml_fmin/ml_fmax, fmod): a vector result is filled by a constant-bound
+   lane loop over [f] of the operands' lanes. *)
+let emit_lanewise ctx ind (o : Op.op) (f : string array -> string) : unit =
   let r = o.Op.results.(0) in
   match r.Value.ty with
   | Ty.Vec (w, _) ->
       decl ctx ind r;
-      let elems =
-        Array.map
-          (fun (v : Value.t) ->
-            match v.Value.ty with
-            | Ty.Vec _ -> vname ctx v ^ "[l]"
-            | _ -> vname ctx v)
-          o.Op.operands
-      in
       pr ctx ind "for (int l = 0; l < %d; l++) %s[l] = %s;" w (vname ctx r)
-        (f elems)
-  | t ->
-      pr ctx ind "%s %s = %s;" (scalar_cty t) (vname ctx r)
-        (f (operand_names ctx o))
+        (f (lane_names ctx o))
+  | _ -> emit_ew ctx ind o f
 
 let rec emit_op ctx ind (o : Op.op) : unit =
   emit_op_kind ctx ind o;
@@ -256,25 +276,48 @@ let rec emit_op ctx ind (o : Op.op) : unit =
 and emit_op_kind ctx ind (o : Op.op) : unit =
   let a = lazy (operand_names ctx o) in
   let an k = (Lazy.force a).(k) in
+  let r () = o.Op.results.(0) in
+  let vec_result () =
+    match (r ()).Value.ty with Ty.Vec _ -> true | _ -> false
+  in
   match o.Op.kind with
+  (* constants are scalar (the verifier's rule); vector constants are
+     broadcasts of them *)
   | Op.ConstF f -> emit_ew ctx ind o (fun _ -> float_lit f)
   | Op.ConstI n -> emit_ew ctx ind o (fun _ -> Printf.sprintf "INT64_C(%d)" n)
   | Op.ConstB b -> emit_ew ctx ind o (fun _ -> if b then "1" else "0")
+  | Op.BinF ((Op.FMin | Op.FMax | Op.FRem) as k) ->
+      emit_lanewise ctx ind o (fun x -> fbin_expr k x.(0) x.(1))
   | Op.BinF k -> emit_ew ctx ind o (fun x -> fbin_expr k x.(0) x.(1))
   | Op.NegF -> emit_ew ctx ind o (fun x -> Printf.sprintf "(-%s)" x.(0))
   | Op.BinI k -> emit_ew ctx ind o (fun x -> ibin_expr k x.(0) x.(1))
   | Op.BinB k -> emit_ew ctx ind o (fun x -> bbin_expr k x.(0) x.(1))
-  | Op.NotB -> emit_ew ctx ind o (fun x -> Printf.sprintf "(!%s)" x.(0))
+  | Op.NotB ->
+      let op = if vec_result () then "~" else "!" in
+      emit_ew ctx ind o (fun x -> Printf.sprintf "(%s%s)" op x.(0))
   | Op.CmpF c | Op.CmpI c ->
       emit_ew ctx ind o (fun x ->
           Printf.sprintf "(%s %s %s)" x.(0) (cmp_op c) x.(1))
-  | Op.Select ->
-      emit_ew ctx ind o (fun x ->
-          Printf.sprintf "(%s ? %s : %s)" x.(0) x.(1) x.(2))
-  | Op.SIToFP -> emit_ew ctx ind o (fun x -> Printf.sprintf "(double)%s" x.(0))
-  | Op.FPToSI ->
-      (* OCaml int_of_float truncates toward zero, as does the C cast *)
-      emit_ew ctx ind o (fun x -> Printf.sprintf "(int64_t)%s" x.(0))
+  | Op.Select -> (
+      match (r ()).Value.ty with
+      | Ty.Vec (w, Ty.F64) ->
+          emit_ew ctx ind o (fun x ->
+              Printf.sprintf "(vd%d)(((vl%d)%s & %s) | ((vl%d)%s & ~%s))" w w
+                x.(1) x.(0) w x.(2) x.(0))
+      | Ty.Vec _ ->
+          emit_ew ctx ind o (fun x ->
+              Printf.sprintf "((%s & %s) | (%s & ~%s))" x.(1) x.(0) x.(2) x.(0))
+      | _ ->
+          emit_ew ctx ind o (fun x ->
+              Printf.sprintf "(%s ? %s : %s)" x.(0) x.(1) x.(2)))
+  | Op.SIToFP | Op.FPToSI ->
+      (* C casts and __builtin_convertvector both truncate toward zero,
+         as OCaml int_of_float does *)
+      let t = cty (r ()).Value.ty in
+      if vec_result () then
+        emit_ew ctx ind o (fun x ->
+            Printf.sprintf "__builtin_convertvector(%s, %s)" x.(0) t)
+      else emit_ew ctx ind o (fun x -> Printf.sprintf "(%s)%s" t x.(0))
   | Op.Math m when libm_folds m && all_operands_pconst ctx o ->
       (* The C compiler can prove every argument constant — outright, or
          along one arm of a select it is free to split — and would fold
@@ -286,20 +329,13 @@ and emit_op_kind ctx ind (o : Op.op) : unit =
          ate them with the host libm) — the scalar folder misses
          constant *splats* and constant select arms though, so those
          need this. *)
-      let r = o.Op.results.(0) in
+      let r = r () in
       let g = vname ctx r ^ "_cg" in
       let guard x = Array.mapi (fun i e -> if i = 0 then g else e) x in
       (match r.Value.ty with
       | Ty.Vec (w, _) ->
           decl ctx ind r;
-          let elems =
-            Array.map
-              (fun (v : Value.t) ->
-                match v.Value.ty with
-                | Ty.Vec _ -> vname ctx v ^ "[l]"
-                | _ -> vname ctx v)
-              o.Op.operands
-          in
+          let elems = lane_names ctx o in
           pr ctx ind
             "for (int l = 0; l < %d; l++) { volatile double %s = %s; %s[l] \
              = %s; }"
@@ -310,43 +346,42 @@ and emit_op_kind ctx ind (o : Op.op) : unit =
           pr ctx ind "volatile double %s = %s;" g x.(0);
           pr ctx ind "%s %s = %s;" (scalar_cty t) (vname ctx r)
             (math_expr m (guard x)))
-  | Op.Math m -> emit_ew ctx ind o (math_expr m)
+  | Op.Math (("square" | "cube") as m) -> emit_ew ctx ind o (math_expr m)
+  | Op.Math m -> emit_lanewise ctx ind o (math_expr m)
   | Op.Broadcast ->
-      let r = o.Op.results.(0) in
-      let w = Ty.width r.Value.ty in
-      decl ctx ind r;
-      pr ctx ind "for (int l = 0; l < %d; l++) %s[l] = %s;" w (vname ctx r)
-        (an 0)
+      (* a scalar i1 is 0/1, a mask lane 0/-1 *)
+      let w, s =
+        match (r ()).Value.ty with
+        | Ty.Vec (w, Ty.I1) -> (w, Printf.sprintf "-(int64_t)%s" (an 0))
+        | t -> (Ty.width t, an 0)
+      in
+      emit_ew ctx ind o (fun _ -> braces (List.init w (fun _ -> s)))
   | Op.VecExtract lane ->
-      let r = o.Op.results.(0) in
-      pr ctx ind "%s %s = %s[%d];"
+      let r = r () in
+      pr ctx ind "%s %s = %s;"
         (scalar_cty r.Value.ty)
-        (vname ctx r) (an 0) lane
+        (vname ctx r)
+        (match r.Value.ty with
+        | Ty.I1 -> Printf.sprintf "(%s[%d] != 0)" (an 0) lane
+        | _ -> Printf.sprintf "%s[%d]" (an 0) lane)
   | Op.VecLoad ->
-      let r = o.Op.results.(0) in
-      let w = Ty.width r.Value.ty in
-      decl ctx ind r;
-      pr ctx ind "for (int l = 0; l < %d; l++) %s[l] = %s[%s + l];" w
-        (vname ctx r) (an 0) (an 1)
+      (* memcpy: the memref offset carries no alignment guarantee *)
+      decl ctx ind (r ());
+      let v = vname ctx (r ()) in
+      pr ctx ind "__builtin_memcpy(&%s, %s + %s, sizeof %s);" v (an 0) (an 1) v
   | Op.VecStore ->
-      let w = Ty.width o.Op.operands.(0).Value.ty in
-      pr ctx ind "for (int l = 0; l < %d; l++) %s[%s + l] = %s[l];" w (an 1)
-        (an 2) (an 0)
+      pr ctx ind "__builtin_memcpy(%s + %s, &%s, sizeof %s);" (an 1) (an 2)
+        (an 0) (an 0)
   | Op.Gather ->
-      let r = o.Op.results.(0) in
-      let w = Ty.width r.Value.ty in
+      let r = r () in
       decl ctx ind r;
-      pr ctx ind "for (int l = 0; l < %d; l++) %s[l] = %s[%s[l]];" w
-        (vname ctx r) (an 0) (an 1)
+      pr ctx ind "for (int l = 0; l < %d; l++) %s[l] = %s[%s[l]];"
+        (Ty.width r.Value.ty) (vname ctx r) (an 0) (an 1)
   | Op.Scatter ->
       let w = Ty.width o.Op.operands.(0).Value.ty in
       pr ctx ind "for (int l = 0; l < %d; l++) %s[%s[l]] = %s[l];" w (an 1)
         (an 2) (an 0)
-  | Op.Iota _ ->
-      let r = o.Op.results.(0) in
-      let w = Ty.width r.Value.ty in
-      decl ctx ind r;
-      pr ctx ind "for (int l = 0; l < %d; l++) %s[l] = l;" w (vname ctx r)
+  | Op.Iota w -> emit_ew ctx ind o (fun _ -> braces (List.init w string_of_int))
   | Op.Alloc -> unsupported "memref.alloc has no C lowering"
   | Op.MemLoad ->
       let r = o.Op.results.(0) in
@@ -432,7 +467,7 @@ and emit_extern_call ctx ind (callee : string) (o : Op.op) : unit =
       let cubic = callee = "lut_interp_cubic" || callee = "lut_interp_cubic_vec" in
       (match o.Op.operands.(2).Value.ty with
       | Ty.Vec (w, Ty.F64) ->
-          pr ctx ind "%s(%s, %s, %s, %d, %s, %s, %s, %s);"
+          pr ctx ind "%s(%s, %s, (const double *)&%s, %d, %s, %s, %s, %s);"
             (if cubic then "lut_cubic_vec" else "lut_linear_vec")
             a.(0) a.(1) a.(2) w a.(3) a.(4) a.(5) a.(6)
       | Ty.F64 ->
@@ -636,6 +671,31 @@ let uses_luts (m : Func.modl) : bool * bool =
     m.Func.m_funcs;
   (!linear || !cubic, !cubic)
 
+(* One vdN/vlN typedef pair per vector width in the module.  GCC vector
+   sizes must be powers of two, so other widths have no lowering. *)
+let typedefs ctx (m : Func.modl) : unit =
+  let widths = ref [] in
+  let note (v : Value.t) =
+    match v.Value.ty with
+    | Ty.Vec (w, _) ->
+        if w land (w - 1) <> 0 then
+          unsupported "vector width %d is not a power of two" w;
+        if not (List.mem w !widths) then widths := w :: !widths
+    | _ -> ()
+  in
+  (* region arguments carry the types of their op's results *)
+  List.iter
+    (fun (f : Func.func) ->
+      Op.iter_region (fun o -> Array.iter note o.Op.results) f.Func.f_body)
+    m.Func.m_funcs;
+  List.iter
+    (fun w ->
+      let bytes = 8 * w in
+      pr ctx 0 "typedef double vd%d __attribute__((vector_size(%d)));" w bytes;
+      pr ctx 0 "typedef int64_t vl%d __attribute__((vector_size(%d)));" w bytes)
+    (List.sort compare !widths);
+  if !widths <> [] then pr ctx 0 ""
+
 let emit_module ?(banner = []) (m : Func.modl) : string =
   let ctx =
     {
@@ -666,6 +726,7 @@ let emit_module ?(banner = []) (m : Func.modl) : string =
   pr ctx 0 "#include <stdint.h>";
   pr ctx 0 "#include <math.h>";
   pr ctx 0 "";
+  typedefs ctx m;
   Buffer.add_string ctx.buf minmax_helpers;
   Buffer.add_char ctx.buf '\n';
   let any_lut, cubic = uses_luts m in

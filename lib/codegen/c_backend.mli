@@ -11,6 +11,23 @@
     [ma], each in declaration order) — the calling convention
     {!Exec.Native.bind} marshals to.
 
+    Vector lowering: every [vector<Nx…>] SSA value is a local of a GNU
+    vector type declared once per unit — [vdN] for f64 lanes, [vlN]
+    ([int64_t] lanes) for i64 vectors and for i1 masks.  Element-wise
+    arithmetic, negation, compares and [& | ^ ~] are whole-vector C
+    expressions; a vector select is a bit-blend over its mask; splats,
+    broadcasts and iota are brace initializers; contiguous vector
+    loads/stores are one [__builtin_memcpy] (no alignment assumed);
+    [sitofp]/[fptosi] use [__builtin_convertvector].  A mask lane is 0
+    or -1 (what a vector compare yields), a scalar i1 is 0 or 1;
+    extracting a mask lane normalizes it ([m[k] != 0]) and broadcasting
+    a scalar i1 negates it.  Per-lane loops remain only where C has no
+    bit-exact vector form: libm calls, [ml_fmin]/[ml_fmax], [fmod],
+    gather/scatter, and the LUT helpers (which read the lookup vector
+    through a [const double] pointer to it).  Vector widths must be
+    powers of two (a GNU vector-size requirement); other widths raise
+    {!Unsupported}.
+
     Floating-point policy: constants are emitted as hex literals, libm
     names match the interpreter's builtin registry, [fmin]/[fmax] use
     OCaml [Float.min]/[Float.max] semantics (emitted inline), and the
@@ -36,8 +53,8 @@
 
 exception Unsupported of string
 (** Raised by {!emit_module} on IR with no C lowering (vector-typed
-    function parameters, [memref.alloc], calls with results, unknown
-    externs).  Kernels produced by {!Kernel.generate} never trip this;
+    function parameters, vector widths that are not powers of two,
+    [memref.alloc], calls with results, unknown externs).  Kernels produced by {!Kernel.generate} never trip this;
     it exists so arbitrary modules degrade with a diagnostic instead of
     emitting wrong code. *)
 

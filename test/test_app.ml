@@ -162,13 +162,18 @@ let serve_spec ~model ~no_lut population ~dir : Spec.t =
     checkpoint = Some { Spec.dir; stride = 100; keep = 3 };
   }
 
+let create (spec : Spec.t) : Session.t =
+  match Session.create spec with
+  | Ok s -> s
+  | Error d -> Alcotest.fail (Easyml.Diag.to_string ~file:spec.model d)
+
 (* Run the spec the way serve does (its own stop predicate, so signals
    stay the caller's), then resume from [from] and finish: the digests
    must agree. *)
 let check_replay ~model ~no_lut ~from population =
   Test_recorder.with_temp_dir (fun dir ->
       let spec = serve_spec ~model ~no_lut population ~dir in
-      let s = Session.create spec in
+      let s = create spec in
       (match Session.run ~stop:(fun () -> false) s ~steps:spec.steps with
       | Ok n -> Alcotest.(check int) "steps run" spec.steps n
       | Error f -> Alcotest.fail f.message);
@@ -199,7 +204,7 @@ let test_resume_refuses_damaged_metadata () =
       let spec =
         serve_spec ~model:"MitchellSchaeffer" ~no_lut:false (Spec.Cells 4) ~dir
       in
-      let s = Session.create { spec with steps = 100; health = None } in
+      let s = create { spec with steps = 100; health = None } in
       ignore (Session.run ~stop:(fun () -> false) s ~steps:100);
       let file = Filename.concat dir "checkpoint-000000000100.ckpt" in
       let ck = Result.get_ok (R.read file) in
@@ -214,6 +219,23 @@ let test_resume_refuses_damaged_metadata () =
           | Error _ -> ())
         (Spec.to_meta spec))
 
+(* An unknown model name is a structured diagnostic from both the loader
+   and the session, never an exception. *)
+let test_unknown_model_diagnostic () =
+  let expect what = function
+    | Ok _ -> Alcotest.failf "%s: unknown model loaded" what
+    | Error (d : Easyml.Diag.t) ->
+        Alcotest.(check string) (what ^ " code") "unknown-model" d.code;
+        Alcotest.(check bool) (what ^ " is an error") true (Easyml.Diag.is_error d);
+        Alcotest.(check bool) (what ^ " names the model") true
+          (Helpers.contains d.message "NoSuchModel")
+  in
+  expect "load_model" (Spec.load_model "NoSuchModel");
+  let spec =
+    serve_spec ~model:"NoSuchModel" ~no_lut:false (Spec.Cells 4) ~dir:"unused"
+  in
+  expect "Session.create" (Session.create { spec with checkpoint = None })
+
 let suite =
   [
     roundtrip;
@@ -226,4 +248,6 @@ let suite =
       test_serve_tissue_replays;
     Alcotest.test_case "resume refuses damaged metadata" `Quick
       test_resume_refuses_damaged_metadata;
+    Alcotest.test_case "unknown model is a diagnostic" `Quick
+      test_unknown_model_diagnostic;
   ]
