@@ -385,9 +385,10 @@ type wall_row = {
           re-run of the same driver — nonzero NaN fails the CI smoke *)
 }
 
-(* Each engine variant knows how to build its driver; "fused-noelide"
-   keeps every runtime bounds check so the row pair quantifies what the
-   bounds-proof elision pass buys on real hardware.  The base rows pin
+(* Each engine variant knows how to build its driver; "batched-noelide"
+   keeps every runtime bounds check so the batched/batched-noelide pair
+   quantifies what bounds-proof elision buys on the one engine that
+   uses it.  The base rows pin
    [~specialize:false] so their historical meaning is stable;
    "batched-spec" is the same batched engine with the runtime
    specializer on ([dt] and the padded cell count folded to IR
@@ -401,10 +402,10 @@ let wall_engines =
      fun g n -> Sim.Driver.create ~engine:Sim.Driver.Compiled ~specialize:false g ~ncells:n ~dt:0.01);
     ("fused",
      fun g n -> Sim.Driver.create ~engine:Sim.Driver.Fused ~specialize:false g ~ncells:n ~dt:0.01);
-    ("fused-noelide",
-     fun g n -> Sim.Driver.create ~engine:Sim.Driver.Fused ~elide:false ~specialize:false g ~ncells:n ~dt:0.01);
     ("batched",
      fun g n -> Sim.Driver.create ~engine:Sim.Driver.Batched ~specialize:false g ~ncells:n ~dt:0.01);
+    ("batched-noelide",
+     fun g n -> Sim.Driver.create ~engine:Sim.Driver.Batched ~elide:false ~specialize:false g ~ncells:n ~dt:0.01);
     ("batched-spec",
      fun g n -> Sim.Driver.create ~engine:Sim.Driver.Batched ~specialize:true g ~ncells:n ~dt:0.01);
   ]
@@ -507,13 +508,15 @@ let health_sweep () : (string * (int * int * int)) list =
    contribute to a geomean headline; they are dropped with a log line. *)
 let min_geo_samples = 10
 
-(* Flight-recorder cost: the same fused vector driver run to completion
-   with and without a checkpoint writer at the CLI's default stride
-   (1000 steps, keep 3, verify on — exactly what `limpetmlir run
-   --checkpoint-dir` attaches), wall-clock around the whole run so the
-   serialization and fsync cost is in the numerator.  Large models only:
-   they carry the most state per checkpoint and are the rows the paper's
-   figures care about.  The geomean is gated < 1.03 in CI. *)
+(* Flight-recorder cost: the same fused vector run driven to completion
+   through [App.Session] — the step loop `limpetmlir run` uses — with and
+   without the CLI's default checkpoint writer (stride 1000, keep 3,
+   verify on), wall-clock around the whole run so the serialization and
+   fsync cost is in the numerator.  Both sessions run traced, as a
+   checkpointed CLI run does, so the ratio isolates the writer.  Large
+   models only: they carry the most state per checkpoint and are the
+   rows the paper's figures care about.  The geomean is gated < 1.03 in
+   CI. *)
 let ckpt_stride = 1_000
 let ckpt_steps = 3_000
 let ckpt_reps = 3
@@ -534,33 +537,48 @@ let checkpoint_overhead () : (string * float) list =
         = Models.Model_def.Large)
       wall_reps
   in
+  let spec name checkpoint : App.Spec.t =
+    {
+      model = name;
+      width = 8;
+      layout = "";
+      no_lut = false;
+      autovec = false;
+      spline = false;
+      engine = Sim.Driver.Fused;
+      tile = 0;
+      specialize = true;
+      threads = 1;
+      dt = 0.01;
+      steps = ckpt_steps;
+      population = App.Spec.Cells !wall_cells;
+      health = None;
+      checkpoint;
+    }
+  in
   List.map
     (fun name ->
-      let e = Models.Registry.find_exn name in
-      let g = gen (Codegen.Config.mlir ~width:8) e in
       let wall ~(ckpt : bool) () =
-        let d =
-          Sim.Driver.create ~engine:Sim.Driver.Fused g ~ncells:!wall_cells
-            ~dt:0.01
+        let dir =
+          Filename.concat
+            (Filename.get_temp_dir_name ())
+            (Printf.sprintf "limpet-ckpt-bench-%d-%s" (Unix.getpid ()) name)
         in
-        let writer, dir =
-          if not ckpt then (None, None)
-          else begin
-            let dir =
-              Filename.concat
-                (Filename.get_temp_dir_name ())
-                (Printf.sprintf "limpet-ckpt-bench-%d-%s" (Unix.getpid ())
-                   name)
-            in
-            ( Some (Obs.Recorder.create_writer ~dir ~stride:ckpt_stride ()),
-              Some dir )
-          end
+        let checkpoint =
+          if ckpt then Some { App.Spec.dir; stride = ckpt_stride; keep = 3 }
+          else None
         in
-        let t0 = Unix.gettimeofday () in
-        ignore (Sim.Driver.run ~stim:wall_stim ?ckpt:writer d ~steps:ckpt_steps);
-        let t = Unix.gettimeofday () -. t0 in
-        Option.iter rm_rf dir;
-        t
+        let s =
+          match App.Session.create ~trace:true (spec name checkpoint) with
+          | Ok s -> s
+          | Error d -> failwith (Easyml.Diag.to_string ~file:name d)
+        in
+        (match App.Session.run ~stop:(fun () -> false) s ~steps:ckpt_steps with
+        | Ok _ -> ()
+        | Error f -> failwith f.App.Session.message);
+        Obs.Tracer.disable ();
+        if ckpt then rm_rf dir;
+        App.Session.wall_s s
       in
       let best f =
         let m = ref Float.infinity in
@@ -571,7 +589,7 @@ let checkpoint_overhead () : (string * float) list =
         !m
       in
       (* interleave-free: all plain reps, then all checkpointed reps, on
-         freshly created drivers each time *)
+         freshly created sessions each time *)
       let plain = best (wall ~ckpt:false) in
       let ckpt = best (wall ~ckpt:true) in
       (name, ckpt /. plain))
@@ -742,16 +760,16 @@ let wallclock () =
           in
           let ns ename = List.assoc_opt ename by_engine in
           (match
-             ( ns "interp", ns "closure", ns "fused", ns "fused-noelide",
-               ns "batched" )
+             ( ns "interp", ns "closure", ns "fused", ns "batched",
+               ns "batched-noelide" )
            with
-          | Some ti, Some tc, Some tf, Some tn, Some tb ->
+          | Some ti, Some tc, Some tf, Some tb, Some tn ->
               Fmt.pr
                 "%-24s %-6s interp %11.1f us  closure %9.1f us  fused %9.1f \
                  us  batched %9.1f us  (closure/fused %.2fx, fused/batched \
                  %.2fx, elision %.2fx)@."
                 name cname (ti /. 1e3) (tc /. 1e3) (tf /. 1e3) (tb /. 1e3)
-                (tc /. tf) (tf /. tb) (tn /. tf)
+                (tc /. tf) (tf /. tb) (tn /. tb)
           | _ -> Fmt.pr "%-24s %-6s (no estimate)@." name cname);
           match (ns "native", ns "batched") with
           | Some tnat, Some tb ->
@@ -862,15 +880,16 @@ let wallclock () =
   Fmt.pr "native-vs-batched median speedup: scalar %.2fx, vector %.2fx, \
           geomean %.2fx@."
     nsc nve nall;
-  (* bounds-elision delta: fused with every runtime check vs fused with
-     proved checks dropped, all models and configs (>= 1 means elision
-     did not regress) *)
+  (* bounds-elision delta: batched with every runtime check vs batched
+     with proved checks dropped, all models and configs (>= 1 means
+     elision did not regress) *)
   let el =
     geo_or_nan
-      (ratios ~num:"fused-noelide" ~den:"fused" ~cls_filter:any
+      (ratios ~num:"batched-noelide" ~den:"batched" ~cls_filter:any
          ~cfg_filter:any)
   in
-  Fmt.pr "bounds-check elision speedup (fused-noelide/fused geomean): %.2fx@."
+  Fmt.pr
+    "bounds-check elision speedup (batched-noelide/batched geomean): %.2fx@."
     el;
   (* flight-recorder cost on the large rows: full runs with the default
      CLI writer attached vs without, wall-clock ratio *)
@@ -913,7 +932,7 @@ let wallclock () =
           ("native_vs_batched_scalar", nsc);
           ("native_vs_batched_vector", nve);
           ("native_vs_batched_geomean", nall);
-          ("fused_elision_speedup_geomean", el);
+          ("batched_elision_speedup_geomean", el);
           ("checkpoint_overhead_geomean", ck);
           ("health_nan_total", float_of_int nan_total);
         ]

@@ -72,8 +72,7 @@ let tile_arg =
 let specialize_arg =
   Arg.(value & opt bool true & info [ "specialize" ] ~docv:"BOOL"
          ~doc:"Partially evaluate the kernel over the run constants \
-               ($(b,dt), padded cell count) before executing, and split \
-               the time loop into constant-stimulus phases.  Bitwise \
+               ($(b,dt), padded cell count) before executing.  Bitwise \
                identical results either way; specialized artifacts are \
                cached per binding environment.  Default $(b,true).")
 
@@ -103,7 +102,7 @@ let checkpoint_term =
                  end and a crash-dump bundle on a hard health trip or \
                  SIGINT/SIGTERM.  A run resumed from any checkpoint with \
                  $(b,limpetmlir replay) finishes bitwise-identical to the \
-                 uninterrupted run (native engine: \u{2264} 2 ULP).")
+                 uninterrupted run, on every engine.")
   and stride =
     int_opt "checkpoint-stride" 1000 "N"
       "Checkpoint every N steps (with --checkpoint-dir)."
@@ -536,8 +535,8 @@ let replay_cmd =
      self-describing: the run is rebuilt from its metadata, the state \
      buffers are restored bit-for-bit, and the remaining steps are \
      executed.  The resumed trajectory finishes bitwise-identical to the \
-     uninterrupted run on every engine (native: the kernels' \u{2264} 2 \
-     ULP bound); compare the printed final state digests."
+     uninterrupted run on every engine, native included; compare the \
+     printed final state digests."
   in
   let steps =
     Arg.(value & opt (some int) None & info [ "steps" ] ~docv:"N"

@@ -6,9 +6,9 @@
     touched-index interval provably fits inside the buffer the caller
     vouches lengths for, records the op id in the {e proved} set.
 
-    The execution engines consume that set to drop their per-access
-    OCaml bounds checks (switching to [unsafe_get]/[unsafe_set] and
-    unchecked fused instructions).  Only failure checks are elided —
+    The batched execution engine consumes that set to drop its
+    per-access OCaml bounds checks (switching to unchecked tile ops);
+    the other engines check every access.  Only failure checks are elided —
     never value-affecting clamps — so elision cannot change results,
     only skip branches that were proved untakeable. *)
 
@@ -20,7 +20,7 @@ type proved = (int, unit) Hashtbl.t
 let is_proved (p : proved) (o : Op.op) : bool = Hashtbl.mem p o.Op.o_id
 let cardinal (p : proved) : int = Hashtbl.length p
 
-(* Ops the engines have unchecked variants for.  Calls are never tagged:
+(* Ops the batched engine has unchecked variants for.  Calls are never tagged:
    externs do their own internal indexing. *)
 let elidable (o : Op.op) : bool =
   match o.Op.kind with

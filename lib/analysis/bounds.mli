@@ -4,8 +4,9 @@
     knows — concrete loop bounds, the padded cell count) and, for every
     load/store/gather/scatter whose touched-index interval provably fits
     inside the buffer the caller vouches lengths for, records the op id
-    in the {e proved} set.  The execution engines consume that set to
-    drop their per-access OCaml bounds checks.  Only failure checks are
+    in the {e proved} set.  The batched execution engine consumes that
+    set to drop its per-access OCaml bounds checks; the other engines
+    check every access.  Only failure checks are
     elided — never value-affecting clamps — so elision cannot change
     results, only skip branches that were proved untakeable. *)
 
@@ -16,7 +17,7 @@ val is_proved : proved -> Ir.Op.op -> bool
 val cardinal : proved -> int
 
 val elidable : Ir.Op.op -> bool
-(** Ops the engines have unchecked variants for.  Calls are never
+(** Ops the batched engine has unchecked variants for.  Calls are never
     tagged: externs do their own internal indexing. *)
 
 val prove_func :

@@ -69,8 +69,55 @@ let build ~trace (spec : Spec.t) (model : Easyml.Model.t) : t =
   { spec; model; config; kernel; sim; driver; writer; compute_s = 0.0;
     wall_s = 0.0 }
 
+(* The numeric run inputs, checked once here so every command that builds
+   a session refuses a bad one with the same diagnostic instead of an
+   exception from deep inside the driver. *)
+let check_inputs (spec : Spec.t) : (unit, Easyml.Diag.t) result =
+  let pos_float x = Float.is_finite x && x > 0.0 in
+  let population =
+    match spec.population with
+    | Cells n -> [ (n >= 1, Fmt.str "--cells must be at least 1 (got %d)" n) ]
+    | Tissue ts ->
+        [
+          (ts.nx >= 2, Fmt.str "--nx must be at least 2 (got %d)" ts.nx);
+          (pos_float ts.dx, Fmt.str "--dx must be positive (got %g)" ts.dx);
+          ( Float.is_finite ts.sigma && ts.sigma >= 0.0,
+            Fmt.str "--sigma must be non-negative (got %g)" ts.sigma );
+        ]
+  in
+  let checkpoint =
+    match spec.checkpoint with
+    | None -> []
+    | Some c ->
+        [
+          ( c.stride >= 1,
+            Fmt.str "--checkpoint-stride must be at least 1 (got %d)" c.stride
+          );
+          ( c.keep >= 1,
+            Fmt.str "--checkpoint-keep must be at least 1 (got %d)" c.keep );
+        ]
+  in
+  let checks =
+    [
+      ( spec.threads >= 1,
+        Fmt.str "--threads must be at least 1 (got %d)" spec.threads );
+      (spec.width >= 1, Fmt.str "-w must be at least 1 (got %d)" spec.width);
+      (pos_float spec.dt, Fmt.str "--dt must be positive (got %g)" spec.dt);
+      (spec.tile >= 0, Fmt.str "--tile must be non-negative (got %d)" spec.tile);
+      ( spec.steps >= 0,
+        Fmt.str "--steps must be non-negative (got %d)" spec.steps );
+    ]
+    @ population @ checkpoint
+  in
+  match List.find_opt (fun (ok, _) -> not ok) checks with
+  | None -> Ok ()
+  | Some (_, msg) ->
+      Error
+        (Easyml.Diag.make ~sev:Easyml.Diag.Error ~code:"invalid-argument" msg)
+
 let create ?(trace = false) (spec : Spec.t) : (t, Easyml.Diag.t) result =
-  Result.map (build ~trace spec) (Spec.load_model spec.model)
+  Result.bind (check_inputs spec) (fun () ->
+      Result.map (build ~trace spec) (Spec.load_model spec.model))
 
 let spec s = s.spec
 let model s = s.model

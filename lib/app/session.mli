@@ -21,10 +21,15 @@ val create : ?trace:bool -> Spec.t -> (t, Easyml.Diag.t) result
     checkpoint.  With [trace] (default false) or a checkpoint writer,
     the tracer is reset and enabled before code generation, so a crash
     dump carries the recent events.
+    A numeric input out of range — fewer than one thread, cell or
+    vector lane, a non-positive or non-finite [dt], a negative tile or
+    step count, a tissue under two nodes wide or with a non-positive
+    [dx] or negative [sigma], a checkpoint stride or keep below one — is
+    an [invalid-argument] diagnostic, checked before anything is built.
     An unknown model is {!Spec.load_model}'s diagnostic.
     @raise Failure on an unknown layout,
     [Codegen.Cache.Validation_failed] when validation is on and refutes
-    a pass, [Sim.Driver.Driver_error] on a bad population or [dt]. *)
+    a pass. *)
 
 val spec : t -> Spec.t
 val model : t -> Easyml.Model.t

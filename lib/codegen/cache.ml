@@ -24,7 +24,6 @@ module M = Easyml.Model
 type stats = {
   hits : int;
   misses : int;
-  evictions : int;
   compile_ms : float;  (** total milliseconds spent on cache misses *)
   spec_hits : int;  (** specialized-artifact lookups served from cache *)
   spec_misses : int;  (** specialization runs *)
@@ -43,7 +42,6 @@ let lock = Mutex.create ()
 let table : (string, Kernel.t) Hashtbl.t = Hashtbl.create 64
 let hits = ref 0
 let misses = ref 0
-let evictions = ref 0
 let compile_ms = ref 0.0
 let spec_hits = ref 0
 let spec_misses = ref 0
@@ -51,42 +49,6 @@ let spec_ms = ref 0.0
 let native_hits = ref 0
 let native_misses = ref 0
 let cc_ms = ref 0.0
-
-(* Optional LRU bound.  [last_use] stamps every lookup with a logical
-   tick; when a capacity is set, inserts over it evict the
-   least-recently-used entry (regeneration on a later miss is always
-   safe — kernels are deterministic for a given key). *)
-let cap : int option ref = ref None
-let tick = ref 0
-let last_use : (string, int) Hashtbl.t = Hashtbl.create 64
-
-let touch (k : string) : unit =
-  incr tick;
-  Hashtbl.replace last_use k !tick
-
-(* Call with [lock] held. *)
-let evict_to_capacity () : unit =
-  match !cap with
-  | None -> ()
-  | Some c ->
-      while Hashtbl.length table > max 1 c do
-        let victim =
-          Hashtbl.fold
-            (fun k _ acc ->
-              let t = Option.value ~default:0 (Hashtbl.find_opt last_use k) in
-              match acc with
-              | Some (_, t') when t' <= t -> acc
-              | _ -> Some (k, t))
-            table None
-        in
-        match victim with
-        | None -> ()
-        | Some (k, _) ->
-            Hashtbl.remove table k;
-            Hashtbl.remove last_use k;
-            incr evictions;
-            Obs.Tracer.count "cache.evict" 1.0
-      done
 
 let locked f =
   Mutex.lock lock;
@@ -158,12 +120,7 @@ let key ?(env : Passes.Specialize.env = []) ~(optimize : bool)
 let generate_named ?(optimize = true) (cfg : Config.t) ~(name : string)
     (parse : unit -> M.t) : Kernel.t =
   let k = key ~optimize cfg name in
-  match
-    locked (fun () ->
-        let r = Hashtbl.find_opt table k in
-        if r <> None then touch k;
-        r)
-  with
+  match locked (fun () -> Hashtbl.find_opt table k) with
   | Some g ->
       locked (fun () -> incr hits);
       Obs.Tracer.count "cache.hit" 1.0;
@@ -188,14 +145,11 @@ let generate_named ?(optimize = true) (cfg : Config.t) ~(name : string)
           match Hashtbl.find_opt table k with
           | Some g' ->
               incr hits;
-              touch k;
               g'
           | None ->
               incr misses;
               compile_ms := !compile_ms +. ms;
               Hashtbl.replace table k g;
-              touch k;
-              evict_to_capacity ();
               g)
 
 (** Like {!generate_named} for an already-analyzed model (keyed on
@@ -294,12 +248,7 @@ let specialize ?(optimize = true) (g : Kernel.t) ~(dt : float)
     ^ "|kd:"
     ^ kernel_digest g.Kernel.modl
   in
-  match
-    locked (fun () ->
-        let r = Hashtbl.find_opt table k in
-        if r <> None then touch k;
-        r)
-  with
+  match locked (fun () -> Hashtbl.find_opt table k) with
   | Some g' ->
       locked (fun () -> incr spec_hits);
       Obs.Tracer.count "specialize.hit" 1.0;
@@ -342,14 +291,11 @@ let specialize ?(optimize = true) (g : Kernel.t) ~(dt : float)
           match Hashtbl.find_opt table k with
           | Some g'' ->
               incr spec_hits;
-              touch k;
               g''
           | None ->
               incr spec_misses;
               spec_ms := !spec_ms +. ms;
               Hashtbl.replace table k g';
-              touch k;
-              evict_to_capacity ();
               g')
 
 (* -- native artifact cache ------------------------------------------- *)
@@ -463,24 +409,11 @@ let native (g : Kernel.t) :
                     to the batched engine"
                    cc status file (String.trim log))))
 
-(** Bound the number of resident kernels.  [Some n] evicts down to [n]
-    entries LRU-first (and keeps future inserts within [n]); [None]
-    removes the bound.  Safe at any point: evicted kernels regenerate on
-    their next miss. *)
-let set_capacity (c : int option) : unit =
-  locked (fun () ->
-      (match c with
-      | Some n when n < 1 -> invalid_arg "Cache.set_capacity: capacity < 1"
-      | _ -> ());
-      cap := c;
-      evict_to_capacity ())
-
 let stats () : stats =
   locked (fun () ->
       {
         hits = !hits;
         misses = !misses;
-        evictions = !evictions;
         compile_ms = !compile_ms;
         spec_hits = !spec_hits;
         spec_misses = !spec_misses;
@@ -494,7 +427,6 @@ let reset_stats () : unit =
   locked (fun () ->
       hits := 0;
       misses := 0;
-      evictions := 0;
       compile_ms := 0.0;
       spec_hits := 0;
       spec_misses := 0;
@@ -507,14 +439,12 @@ let reset_stats () : unit =
 let clear () : unit =
   locked (fun () ->
       Hashtbl.reset table;
-      Hashtbl.reset last_use;
       Hashtbl.reset certs;
       (* native entries survive clear(): bound closures hold raw function
          pointers into the loaded libraries, so they are never unloaded;
          the stats still reset so tests can count fresh compiles *)
       hits := 0;
       misses := 0;
-      evictions := 0;
       compile_ms := 0.0;
       spec_hits := 0;
       spec_misses := 0;
@@ -526,8 +456,8 @@ let clear () : unit =
 let describe_stats () : string =
   let s = stats () in
   Printf.sprintf
-    "cache: %d hits / %d misses / %d evictions / %.1f ms compiling; \
+    "cache: %d hits / %d misses / %.1f ms compiling; \
      specialize: %d hits / %d misses / %.1f ms; native: %d hits / %d misses \
      / %.1f ms cc"
-    s.hits s.misses s.evictions s.compile_ms s.spec_hits s.spec_misses
+    s.hits s.misses s.compile_ms s.spec_hits s.spec_misses
     s.spec_ms s.native_hits s.native_misses s.cc_ms

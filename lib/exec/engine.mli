@@ -68,18 +68,9 @@ type fctx = {
   env : env;
   get : string -> compiled;  (** module-level callee lookup *)
   return_box : Rt.v array ref;
-  proved : (int, unit) Hashtbl.t;
-      (** op ids whose memory accesses are statically proved in-bounds
-          (see [Analysis.Bounds]); those compile without runtime bounds
-          checks.  Elision only drops failure branches, never
-          value-affecting clamps, so results are bitwise unchanged. *)
 }
 
-val make_fctx :
-  ?proved:(int, unit) Hashtbl.t ->
-  Ir.Func.func ->
-  get:(string -> compiled) ->
-  fctx
+val make_fctx : Ir.Func.func -> get:(string -> compiled) -> fctx
 
 val slot : fctx -> Ir.Value.t -> slot
 val fslot : fctx -> Ir.Value.t -> int
@@ -128,23 +119,15 @@ val cmpi_fn : Ir.Op.cmp -> int -> int -> bool
 
 (** {1 Entry points} *)
 
-val compile_func :
-  ?proved:(int, unit) Hashtbl.t ->
-  get:(string -> compiled) ->
-  Ir.Func.func ->
-  compiled
+val compile_func : get:(string -> compiled) -> Ir.Func.func -> compiled
 (** Compile one function against a callee lookup. *)
 
 val compile_module :
-  ?externs:Rt.registry ->
-  ?proved:(int, unit) Hashtbl.t ->
-  Ir.Func.modl ->
-  string ->
-  compiled
+  ?externs:Rt.registry -> Ir.Func.modl -> string -> compiled
 (** Lazy per-function compiler; unknown names fall back to the extern
     registry. Local calls between module functions are supported.
-    [proved] elides bounds checks on the listed op ids (ids are unique
-    module-wide, so one set serves every function). *)
+    Every memory access is bounds-checked: an out-of-range index raises
+    [Invalid_argument]. *)
 
 val run :
   ?externs:Rt.registry -> Ir.Func.modl -> string -> Rt.v array -> Rt.v array

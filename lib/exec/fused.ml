@@ -107,17 +107,6 @@ type instr =
       (** m1, i1, c(vf), h, m2, i2, w *)
   | VGather of int * int * int * int  (** d, mm, ixs(vi), w *)
   | VScatter of int * int * int * int  (** a, mm, ixs(vi), w *)
-  (* unchecked variants, selected when the bounds prover certified every
-     access of the source op ({!Analysis.Bounds}); same semantics minus
-     the OCaml bounds checks *)
-  | LoadU of int * int * int
-  | StoreU of int * int * int
-  | LosU of int * int * int * (float -> float -> float) * int * int
-  | VLoadU of int * int * int * int
-  | VStoreU of int * int * int * int
-  | VLosU of int * int * int * (float -> float -> float) * int * int * int
-  | VGatherU of int * int * int * int
-  | VScatterU of int * int * int * int
   (* everything else: closure fallback *)
   | Thunk of (unit -> unit)
 
@@ -455,58 +444,6 @@ let exec_code (code : instr array) (e : E.env) : unit -> unit =
             Float.Array.set buf (Array.unsafe_get idx l)
               (Float.Array.unsafe_get x l)
           done
-      | LoadU (d, mm, ix) ->
-          Array.unsafe_set f d
-            (Float.Array.unsafe_get (Array.unsafe_get m mm)
-               (Array.unsafe_get i ix))
-      | StoreU (a, mm, ix) ->
-          Float.Array.unsafe_set (Array.unsafe_get m mm)
-            (Array.unsafe_get i ix) (Array.unsafe_get f a)
-      | LosU (m1, i1, c, h, m2, i2) ->
-          let x =
-            Float.Array.unsafe_get (Array.unsafe_get m m1)
-              (Array.unsafe_get i i1)
-          in
-          Float.Array.unsafe_set (Array.unsafe_get m m2)
-            (Array.unsafe_get i i2)
-            (h x (Array.unsafe_get f c))
-      | VLoadU (d, mm, ix, w) ->
-          let buf = Array.unsafe_get m mm and base = Array.unsafe_get i ix in
-          let z = Array.unsafe_get vf d in
-          for l = 0 to w - 1 do
-            Float.Array.unsafe_set z l (Float.Array.unsafe_get buf (base + l))
-          done
-      | VStoreU (a, mm, ix, w) ->
-          let buf = Array.unsafe_get m mm and base = Array.unsafe_get i ix in
-          let x = Array.unsafe_get vf a in
-          for l = 0 to w - 1 do
-            Float.Array.unsafe_set buf (base + l) (Float.Array.unsafe_get x l)
-          done
-      | VLosU (m1, i1, c, h, m2, i2, w) ->
-          let src = Array.unsafe_get m m1 and sbase = Array.unsafe_get i i1 in
-          let dst = Array.unsafe_get m m2 and dbase = Array.unsafe_get i i2 in
-          let y = Array.unsafe_get vf c in
-          for l = 0 to w - 1 do
-            Float.Array.unsafe_set dst (dbase + l)
-              (h (Float.Array.unsafe_get src (sbase + l))
-                 (Float.Array.unsafe_get y l))
-          done
-      | VGatherU (d, mm, ixs, w) ->
-          let buf = Array.unsafe_get m mm
-          and idx = Array.unsafe_get vi ixs
-          and z = Array.unsafe_get vf d in
-          for l = 0 to w - 1 do
-            Float.Array.unsafe_set z l
-              (Float.Array.unsafe_get buf (Array.unsafe_get idx l))
-          done
-      | VScatterU (a, mm, ixs, w) ->
-          let buf = Array.unsafe_get m mm
-          and idx = Array.unsafe_get vi ixs
-          and x = Array.unsafe_get vf a in
-          for l = 0 to w - 1 do
-            Float.Array.unsafe_set buf (Array.unsafe_get idx l)
-              (Float.Array.unsafe_get x l)
-          done
       | Thunk g -> g ()
     done
 
@@ -610,41 +547,29 @@ let instr_of (c : E.fctx) (o : Op.op) : instr option =
   | Op.MemLoad ->
       let d = E.fslot c (res ()) and mm = E.mslot c (op 0)
       and ix = E.islot c (op 1) in
-      Some
-        (if Hashtbl.mem c.E.proved o.o_id then LoadU (d, mm, ix)
-         else Load (d, mm, ix))
+      Some (Load (d, mm, ix))
   | Op.MemStore ->
       let a = E.fslot c (op 0) and mm = E.mslot c (op 1)
       and ix = E.islot c (op 2) in
-      Some
-        (if Hashtbl.mem c.E.proved o.o_id then StoreU (a, mm, ix)
-         else Store (a, mm, ix))
+      Some (Store (a, mm, ix))
   | Op.VecLoad ->
       let d, w = E.vfslot c (res ()) in
       let mm = E.mslot c (op 0) and ix = E.islot c (op 1) in
-      Some
-        (if Hashtbl.mem c.E.proved o.o_id then VLoadU (d, mm, ix, w)
-         else VLoad (d, mm, ix, w))
+      Some (VLoad (d, mm, ix, w))
   | Op.VecStore ->
       let a, w = E.vfslot c (op 0) in
       let mm = E.mslot c (op 1) and ix = E.islot c (op 2) in
-      Some
-        (if Hashtbl.mem c.E.proved o.o_id then VStoreU (a, mm, ix, w)
-         else VStore (a, mm, ix, w))
+      Some (VStore (a, mm, ix, w))
   | Op.Gather ->
       let d, _ = E.vfslot c (res ()) in
       let ixs, w = E.vislot c (op 1) in
       let mm = E.mslot c (op 0) in
-      Some
-        (if Hashtbl.mem c.E.proved o.o_id then VGatherU (d, mm, ixs, w)
-         else VGather (d, mm, ixs, w))
+      Some (VGather (d, mm, ixs, w))
   | Op.Scatter ->
       let a, w = E.vfslot c (op 0) in
       let ixs, _ = E.vislot c (op 2) in
       let mm = E.mslot c (op 1) in
-      Some
-        (if Hashtbl.mem c.E.proved o.o_id then VScatterU (a, mm, ixs, w)
-         else VScatter (a, mm, ixs, w))
+      Some (VScatter (a, mm, ixs, w))
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -815,9 +740,6 @@ let pair_instr (c : E.fctx) (p : Op.op) (o : Op.op) : instr option =
 let try_fuse (c : E.fctx) (uc : (int, int) Hashtbl.t)
     ~(defs : Value.t -> Op.op option) ~(clean : Op.op -> bool) (o1 : Op.op)
     (rest : Op.op list) : (instr * Op.op list) option =
-  let both_proved o3 =
-    Hashtbl.mem c.E.proved o1.Op.o_id && Hashtbl.mem c.E.proved o3.Op.o_id
-  in
   match (o1.Op.kind, rest) with
   (* memref.load + arith op + memref.store -> load-op-store *)
   | Op.MemLoad, o2 :: o3 :: rest3 when clean o2 && clean o3 -> (
@@ -829,18 +751,14 @@ let try_fuse (c : E.fctx) (uc : (int, int) Hashtbl.t)
           (match fusable_result uc o2 with
           | Some y when o3.Op.operands.(0).id = y.id ->
               let h, other = consumer_fn k o2 x in
-              let enc =
-                ( E.mslot c o1.Op.operands.(0),
-                  E.islot c o1.Op.operands.(1),
-                  E.fslot c other,
-                  h,
-                  E.mslot c o3.Op.operands.(1),
-                  E.islot c o3.Op.operands.(2) )
-              in
-              let m1, i1, cc, hh, m2, i2 = enc in
               Some
-                ( (if both_proved o3 then LosU (m1, i1, cc, hh, m2, i2)
-                   else Los (m1, i1, cc, hh, m2, i2)),
+                ( Los
+                    ( E.mslot c o1.Op.operands.(0),
+                      E.islot c o1.Op.operands.(1),
+                      E.fslot c other,
+                      h,
+                      E.mslot c o3.Op.operands.(1),
+                      E.islot c o3.Op.operands.(2) ),
                   rest3 )
           | _ -> None)
       | _ -> None)
@@ -868,11 +786,7 @@ let try_fuse (c : E.fctx) (uc : (int, int) Hashtbl.t)
                   and i1 = E.islot c o1.Op.operands.(1)
                   and m2 = E.mslot c o3.Op.operands.(1)
                   and i2 = E.islot c o3.Op.operands.(2) in
-                  Some
-                    ( (if both_proved o3 then
-                         VLosU (m1, i1, cslot, h, m2, i2, w)
-                       else VLos (m1, i1, cslot, h, m2, i2, w)),
-                      rest3 ))
+                  Some (VLos (m1, i1, cslot, h, m2, i2, w), rest3))
           | _ -> None)
       | _ -> None)
   | _ -> None
@@ -959,10 +873,10 @@ let compile_call (c : E.fctx) (o : Op.op) (name : string) : unit -> unit =
 (* Region compilation                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let compile_func ?proved ~(get : string -> E.compiled) (fn : Func.func) :
+let compile_func ~(get : string -> E.compiled) (fn : Func.func) :
     E.compiled =
   Obs.Tracer.with_span ("fused.compile:" ^ fn.Func.f_name) @@ fun () ->
-  let c = E.make_fctx ?proved fn ~get in
+  let c = E.make_fctx fn ~get in
   let uc = use_counts fn in
   (* value id -> defining op, for the load/store alias oracle *)
   let defs_tbl : (int, Op.op) Hashtbl.t = Hashtbl.create 256 in
@@ -1056,8 +970,8 @@ let compile_func ?proved ~(get : string -> E.compiled) (fn : Func.func) :
 (** Compile a whole module with the fused engine; returns a lazy
     per-function runner lookup (same calling convention as
     {!Engine.compile_module}). *)
-let compile_module ?externs ?proved (m : Func.modl) : string -> E.compiled =
-  E.module_linker ?externs m (fun ~get f -> compile_func ?proved ~get f)
+let compile_module ?externs (m : Func.modl) : string -> E.compiled =
+  E.module_linker ?externs m (fun ~get f -> compile_func ~get f)
 
 (** Compile and run one function of a module. *)
 let run ?externs (m : Func.modl) (name : string) (args : Rt.v array) :

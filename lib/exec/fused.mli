@@ -13,23 +13,15 @@
     compilation, so use one compiled instance per thread. *)
 
 val compile_func :
-  ?proved:(int, unit) Hashtbl.t ->
-  get:(string -> Engine.compiled) ->
-  Ir.Func.func ->
-  Engine.compiled
+  get:(string -> Engine.compiled) -> Ir.Func.func -> Engine.compiled
 (** Compile one function with the fused engine (for custom linkers).
-    [proved] op ids (from [Analysis.Bounds]) compile to unchecked
-    load/store instructions. *)
+    Every memory access is bounds-checked: an out-of-range index raises
+    [Invalid_argument]. *)
 
 val compile_module :
-  ?externs:Rt.registry ->
-  ?proved:(int, unit) Hashtbl.t ->
-  Ir.Func.modl ->
-  string ->
-  Engine.compiled
+  ?externs:Rt.registry -> Ir.Func.modl -> string -> Engine.compiled
 (** Lazy per-function compiler; unknown names fall back to the extern
-    registry.  Local calls between module functions are supported.
-    [proved] elides bounds checks on the listed op ids. *)
+    registry.  Local calls between module functions are supported. *)
 
 val run :
   ?externs:Rt.registry -> Ir.Func.modl -> string -> Rt.v array -> Rt.v array

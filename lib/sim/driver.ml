@@ -31,9 +31,8 @@ type t = {
           other engines); Domain-parallel chunk boundaries align to it *)
   specialized : bool;
       (** the kernel was partially evaluated over this driver's run
-          constants ({!Codegen.Cache.specialize}); also enables the
-          stimulus phase split in {!run} — results are bitwise identical
-          either way *)
+          constants ({!Codegen.Cache.specialize}); results are bitwise
+          identical either way *)
   native : (string -> Rt.v array -> Rt.v array) option;
       (** symbol lookup into the JIT-compiled shared object
           ({!Codegen.Cache.native}); [Some] exactly when [engine] is
@@ -42,7 +41,8 @@ type t = {
   registry : Rt.registry;
   proved : (int, unit) Hashtbl.t;
       (** access ops of the compute kernel proved in-bounds under this
-          driver's buffer contract; engines compile them unchecked *)
+          driver's buffer contract; the batched engine compiles them
+          unchecked.  Empty for every other engine. *)
   mutable runners : (Rt.v array -> Rt.v array) array;
       (** one compiled kernel instance per thread (engines are not
           reentrant: each has its own register file) *)
@@ -69,7 +69,7 @@ let make_runner (d_engine : engine) (registry : Rt.registry) ~proved
       | Some lookup -> lookup Codegen.Kernel.compute_name
       | None -> fail "native engine without a compiled library")
   | Fused ->
-      let lookup = Fused.compile_module ~externs:registry ~proved modl in
+      let lookup = Fused.compile_module ~externs:registry modl in
       lookup Codegen.Kernel.compute_name
   | Batched ->
       let lookup =
@@ -77,7 +77,7 @@ let make_runner (d_engine : engine) (registry : Rt.registry) ~proved
       in
       lookup Codegen.Kernel.compute_name
   | Compiled ->
-      let lookup = Engine.compile_module ~externs:registry ~proved modl in
+      let lookup = Engine.compile_module ~externs:registry modl in
       lookup Codegen.Kernel.compute_name
   | Reference ->
       (* the reference interpreter never elides checks *)
@@ -133,15 +133,12 @@ let reset (d : t) : unit =
         match d.native with
         | Some lookup -> lookup
         | None -> fail "native engine without a compiled library")
-    | Fused ->
-        Fused.compile_module ~externs:d.registry ~proved:d.proved
-          d.gen.Codegen.Kernel.modl
+    | Fused -> Fused.compile_module ~externs:d.registry d.gen.Codegen.Kernel.modl
     | Batched ->
         Batched.compile_module ~externs:d.registry ~proved:d.proved
           ~tile:d.tile d.gen.Codegen.Kernel.modl
     | Compiled ->
-        Engine.compile_module ~externs:d.registry ~proved:d.proved
-          d.gen.Codegen.Kernel.modl
+        Engine.compile_module ~externs:d.registry d.gen.Codegen.Kernel.modl
     | Reference ->
         fun name args ->
           Interp.run ~externs:d.registry d.gen.Codegen.Kernel.modl name args
@@ -163,12 +160,13 @@ let reset (d : t) : unit =
   d.t_now <- 0.0;
   d.steps_done <- 0
 
-(** [create ?engine ?elide gen ~ncells ~dt] builds a driver.  With
-    [elide] (the default) the bounds prover runs over the compute kernel
-    seeded with this driver's buffer sizes, and every access it
-    certifies compiles without its runtime bounds check — results are
-    bitwise identical either way (only failure branches are dropped);
-    [~elide:false] keeps every check, for differentials and ablation.
+(** [create ?engine ?elide gen ~ncells ~dt] builds a driver.  On the
+    batched engine with [elide] (the default) the bounds prover runs
+    over the compute kernel seeded with this driver's buffer sizes, and
+    every access it certifies compiles without its runtime bounds check
+    — results are bitwise identical either way (only failure branches
+    are dropped); [~elide:false] keeps every check, for differentials
+    and ablation.  The other engines always check every access.
     [tile] overrides the batched engine's tile size in vector blocks
     (default: the config's [tile] knob, 0 = auto-size for L1); results
     are bitwise identical for every tile size.  [specialize] (default
@@ -231,12 +229,14 @@ let create ?(engine = Fused) ?(elide = true) ?(tile = 0) ?(specialize = true)
   in
   let registry = make_registry () in
   (* proofs run on the module that will execute: op ids differ between
-     the base and specialized clones, so the proved set must match *)
+     the base and specialized clones, so the proved set must match.
+     Only the batched engine uses them: elision pays there (one check
+     per tile element) and nowhere else. *)
   let proved =
-    if elide then Kernel_facts.prove_bounds gen ~ncells_pad
+    if elide && engine = Batched then Kernel_facts.prove_bounds gen ~ncells_pad
     else Hashtbl.create 1
   in
-  if specialize then
+  if specialize && Hashtbl.length proved > 0 then
     Obs.Tracer.count
       ("specialize.guards_elided:" ^ gen.Codegen.Kernel.model.M.name)
       (float_of_int (Hashtbl.length proved));
@@ -565,13 +565,13 @@ let find_ext_buf (d : t) (name : string) : floatarray =
   | Some b -> b
   | None -> fail "model has no external variable %s" name
 
-(** Membrane update with a precomputed stimulus current [s]:
-    [Vm += dt * (s - Iion)] on every cell, when the model exposes the
-    conventional [Vm]/[Iion] externals.  The phase-split {!run} calls
-    this directly with one constant current per phase. *)
-let membrane_update_current (d : t) (s : float) : unit =
+(** Membrane update (solver-stage stand-in for single-cell runs):
+    [Vm += dt * (stim(t) - Iion)] on every cell, when the model exposes
+    the conventional [Vm]/[Iion] externals. *)
+let membrane_update ?(stim = Stim.none) (d : t) : unit =
   match (List.assoc_opt "Vm" d.exts, List.assoc_opt "Iion" d.exts) with
   | Some vm, Some iion ->
+      let s = Stim.at stim d.t_now in
       Obs.Tracer.with_span "driver.update" (fun () ->
           for c = 0 to d.ncells - 1 do
             Float.Array.set vm c
@@ -584,11 +584,6 @@ let membrane_update_current (d : t) (s : float) : unit =
             Float.Array.set vm c (Float.Array.get vm (d.ncells - 1))
           done)
   | _ -> ()
-
-(** Membrane update (solver-stage stand-in for single-cell runs):
-    [Vm += dt * (stim(t) - Iion)] on every cell. *)
-let membrane_update ?(stim = Stim.none) (d : t) : unit =
-  membrane_update_current d (Stim.at stim d.t_now)
 
 (** One full time step: compute stage + membrane update. *)
 let step ?(nthreads = 1) ?(stim = Stim.none) (d : t) : unit =
@@ -615,56 +610,6 @@ let time (d : t) : float = d.t_now
 let tick (d : t) : unit =
   d.t_now <- d.t_now +. d.dt;
   d.steps_done <- d.steps_done + 1
-
-(** Run [steps] time steps; returns wall-clock seconds spent in the compute
-    stage (the quantity the paper's figures report).
-
-    On a specialized driver the time loop is split into stimulus phases
-    ({!Stim.segments}): within each phase the stimulus current is a
-    constant, so the per-step body is branch-free — no pulse-edge test,
-    no [Float.rem] phase arithmetic.  The segment plan evaluates the
-    schedule at exactly the accumulated times the plain loop would use,
-    so both paths are bitwise identical. *)
-let run ?(nthreads = 1) ?(stim = Stim.none) ?ckpt (d : t) ~(steps : int) :
-    float =
-  let total = ref 0.0 in
-  (* periodic flight-recorder hook: captures never touch simulation
-     state (buffers are copied), so checkpointed runs stay bitwise
-     identical to plain ones; the wall-clock cost lands outside the
-     compute-stage timing, matching how the bench reports it *)
-  let maybe_ckpt () =
-    match ckpt with
-    | Some w when Obs.Recorder.due w ~step:d.steps_done ->
-        Obs.Tracer.with_span "driver.checkpoint" (fun () ->
-            ignore (Obs.Recorder.record w (capture d)))
-    | _ -> ()
-  in
-  let phase (s : float) (n : int) : unit =
-    for _ = 1 to n do
-      let t0 = Unix.gettimeofday () in
-      compute_stage ~nthreads d;
-      total := !total +. (Unix.gettimeofday () -. t0);
-      membrane_update_current d s;
-      d.t_now <- d.t_now +. d.dt;
-      d.steps_done <- d.steps_done + 1;
-      maybe_ckpt ()
-    done
-  in
-  if d.specialized then
-    List.iter
-      (fun (s, n) -> phase s n)
-      (Stim.segments stim ~t0:d.t_now ~dt:d.dt ~steps)
-  else
-    for _ = 1 to steps do
-      let t0 = Unix.gettimeofday () in
-      compute_stage ~nthreads d;
-      total := !total +. (Unix.gettimeofday () -. t0);
-      membrane_update ~stim d;
-      d.t_now <- d.t_now +. d.dt;
-      d.steps_done <- d.steps_done + 1;
-      maybe_ckpt ()
-    done;
-  !total
 
 (* ------------------------------------------------------------------ *)
 (* Accessors                                                           *)

@@ -38,8 +38,8 @@ type t = {
           [tile × width] cells *)
   specialized : bool;
       (** the kernel was partially evaluated over this driver's run
-          constants ([dt], padded cell count) and {!run} uses the
-          stimulus phase split — bitwise identical either way *)
+          constants ([dt], padded cell count) — bitwise identical either
+          way *)
   native : (string -> Exec.Rt.v array -> Exec.Rt.v array) option;
       (** symbol lookup into the JIT-compiled shared object; [Some]
           exactly when [engine] is {!Native} *)
@@ -47,7 +47,8 @@ type t = {
   proved : (int, unit) Hashtbl.t;
       (** compute-kernel access ops proved in-bounds by
           [Analysis.Bounds] under this driver's buffer contract; the
-          engines compile them without runtime bounds checks *)
+          batched engine compiles them without runtime bounds checks.
+          Empty for every other engine. *)
   mutable runners : (Exec.Rt.v array -> Exec.Rt.v array) array;
   mutable rows : floatarray list array;
   mutable t_now : float;
@@ -66,10 +67,11 @@ val create :
   t
 (** Allocate, initialize from the model's [_init] values and build the
     lookup tables (by running the generated [lut_init_*] functions).
-    [engine] defaults to {!Fused}.  [elide] (default true) runs the
-    bounds prover and drops runtime bounds checks on proved accesses —
-    bitwise-identical results, fewer branches; [~elide:false] keeps
-    every check.  [tile] sets the batched engine's tile size in vector
+    [engine] defaults to {!Fused}.  On {!Batched}, [elide] (default
+    true) runs the bounds prover and drops runtime bounds checks on
+    proved accesses — bitwise-identical results, fewer branches;
+    [~elide:false] keeps every check.  The other engines always check
+    every access and carry an empty proof set.  [tile] sets the batched engine's tile size in vector
     blocks (default: the config's [tile] knob; 0 = auto-size for L1);
     ignored by the other engines, and results are bitwise identical for
     every value.  [specialize] (default true) partially evaluates the
@@ -135,16 +137,6 @@ val step : ?nthreads:int -> ?stim:Stim.t -> t -> unit
 
 val step_timed : ?nthreads:int -> ?stim:Stim.t -> t -> float
 (** Like {!step}; returns the compute stage's wall-clock seconds. *)
-
-val run :
-  ?nthreads:int -> ?stim:Stim.t -> ?ckpt:Obs.Recorder.writer -> t ->
-  steps:int -> float
-(** [steps] full steps; returns total compute-stage seconds (the quantity
-    the paper's figures report).  [?ckpt] attaches a flight recorder:
-    after any step whose index is due ({!Obs.Recorder.due}) the driver
-    {!capture}s itself and records the checkpoint.  Captures copy every
-    buffer, so a checkpointed run is bitwise identical to a plain one;
-    the write cost is excluded from the returned compute-stage time. *)
 
 val tick : t -> unit
 (** Advance the clock only (callers driving their own solver stage). *)

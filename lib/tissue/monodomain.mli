@@ -23,8 +23,8 @@
     {!Sim.Driver.membrane_update} convention).  Diffusion, exchange and
     measurement are deterministic and single-threaded, and the ionic
     stage is bitwise-reproducible across thread counts, so tissue
-    trajectories are bitwise identical across engines (native: the
-    kernels' ≤ 2 ULP bound) and across [nthreads]. *)
+    trajectories are bitwise identical across engines (native included)
+    and across [nthreads]. *)
 
 type splitting = Godunov | Strang
 

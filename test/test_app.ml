@@ -236,6 +236,60 @@ let test_unknown_model_diagnostic () =
   in
   expect "Session.create" (Session.create { spec with checkpoint = None })
 
+(* Out-of-range numeric inputs are one [invalid-argument] diagnostic from
+   [Session.create] — for run, tissue and serve alike, and for a replay
+   asking for zero threads — never an exception from inside the driver.
+   Thread counts stay small: a bad value must be refused before any
+   Domain starts. *)
+let test_bad_inputs_are_diagnostics () =
+  let base =
+    {
+      (serve_spec ~model:"MitchellSchaeffer" ~no_lut:false (Spec.Cells 4)
+         ~dir:"unused")
+      with
+      health = None;
+      checkpoint = None;
+    }
+  in
+  let cable = Spec.paced_cable ~cells:16 in
+  let expect what r =
+    match r with
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+    | Error (d : Easyml.Diag.t) ->
+        Alcotest.(check string) (what ^ " code") "invalid-argument" d.code;
+        Alcotest.(check bool) (what ^ " is an error") true
+          (Easyml.Diag.is_error d)
+  in
+  List.iter
+    (fun (what, spec) -> expect what (Session.create spec))
+    [
+      ("--cells 0", { base with population = Spec.Cells 0 });
+      ("--dt 0", { base with dt = 0.0 });
+      ("--dt nan", { base with dt = Float.nan });
+      ("--threads 0", { base with threads = 0 });
+      ("-w 0", { base with width = 0 });
+      ("--tile -1", { base with tile = -1 });
+      ("--steps -1", { base with steps = -1 });
+      ( "--checkpoint-stride 0",
+        { base with checkpoint = Some { Spec.dir = "unused"; stride = 0; keep = 3 } } );
+      ( "tissue --threads 0",
+        { base with threads = 0; population = Spec.Tissue cable } );
+      ( "tissue --nx 1",
+        { base with population = Spec.Tissue { cable with nx = 1 } } );
+      ( "tissue --dx 0",
+        { base with population = Spec.Tissue { cable with dx = 0.0 } } );
+    ];
+  Test_recorder.with_temp_dir (fun dir ->
+      let s =
+        create
+          { base with steps = 100;
+                      checkpoint = Some { Spec.dir; stride = 100; keep = 1 } }
+      in
+      ignore (Session.run ~stop:(fun () -> false) s ~steps:100);
+      expect "replay --threads 0"
+        (Session.resume ~threads:0
+           (Filename.concat dir "checkpoint-000000000100.ckpt")))
+
 let suite =
   [
     roundtrip;
@@ -250,4 +304,6 @@ let suite =
       test_resume_refuses_damaged_metadata;
     Alcotest.test_case "unknown model is a diagnostic" `Quick
       test_unknown_model_diagnostic;
+    Alcotest.test_case "bad numeric inputs are diagnostics" `Quick
+      test_bad_inputs_are_diagnostics;
   ]

@@ -192,12 +192,20 @@ let test_bounds_proves_kernel_accesses () =
   Alcotest.(check bool)
     "never more than the elidable ops" true
     (n <= A.Bounds.elidable_count f);
-  (* the driver consumes the proofs by default *)
-  let d = Sim.Driver.create g ~ncells:16 ~dt:0.01 in
+  (* the batched driver consumes the proofs by default; no other engine
+     elides, so they carry none *)
+  let d = Sim.Driver.create ~engine:Sim.Driver.Batched g ~ncells:16 ~dt:0.01 in
   Alcotest.(check bool)
-    "driver carries a non-empty proof set" true
+    "batched driver carries a non-empty proof set" true
     (Hashtbl.length d.Sim.Driver.proved > 0);
-  let dn = Sim.Driver.create ~elide:false g ~ncells:16 ~dt:0.01 in
+  let df = Sim.Driver.create ~engine:Sim.Driver.Fused g ~ncells:16 ~dt:0.01 in
+  Alcotest.(check int)
+    "fused driver carries no proofs" 0
+    (Hashtbl.length df.Sim.Driver.proved);
+  let dn =
+    Sim.Driver.create ~engine:Sim.Driver.Batched ~elide:false g ~ncells:16
+      ~dt:0.01
+  in
   Alcotest.(check int)
     "elide:false keeps every check" 0
     (Hashtbl.length dn.Sim.Driver.proved)

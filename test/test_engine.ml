@@ -1,5 +1,6 @@
 (* Execution-engine tests: the closure compiler against the reference
-   interpreter, the AST evaluator, and hand-computed results. *)
+   interpreter, the AST evaluator, and hand-computed results; out-of-range
+   accesses raising on the closure, fused and batched engines. *)
 
 open Ir
 open Exec
@@ -247,6 +248,109 @@ let test_yield_swap () =
       Helpers.fcheck "swapped b (interp)" 1.0 b
   | _ -> Alcotest.fail "bad result"
 
+(* -- out-of-range accesses --------------------------------------------- *)
+
+(* f(src, dst, n): a parallel loop over [0, n) in steps of [w] whose body
+   touches memory one way.  With n past the end of one buffer, every
+   access kind must raise on every OCaml engine: the closure and fused
+   engines never elide a check, and the batched engine elides only what
+   a bounds proof certifies (none here).  The load-op-store bodies are
+   the shape the fused engine turns into its [Los]/[VLos]
+   superinstructions. *)
+let oob_loop ~(w : int) body : Func.modl =
+  let m = modl "oob" in
+  let c = ctx () in
+  Func.add_func m
+    (Builder.func c ~name:"f" ~params:[ Ty.Memref; Ty.Memref; Ty.I64 ]
+       ~results:[] (fun b args ->
+         match args with
+         | [ src; dst; n ] ->
+             ignore
+               (Builder.for_ b ~parallel:true ~lb:(Builder.consti b 0) ~ub:n
+                  ~step:(Builder.consti b w) ~inits:[] (fun ~iv ~iters:_ ->
+                    body b ~src ~dst ~iv;
+                    []));
+             Builder.ret b []
+         | _ -> assert false));
+  Verifier.verify_module_exn m;
+  m
+
+let lanes b ~w iv =
+  Builder.addi b (Builder.broadcast b ~width:w iv) (Builder.iota b ~width:w)
+
+let oob_cases =
+  let w = 4 in
+  [
+    ( "scalar load", 1, `Src,
+      fun b ~src ~dst ~iv ->
+        Builder.store b (Builder.load b ~mem:src ~idx:iv) ~mem:dst ~idx:iv );
+    ( "scalar store", 1, `Dst,
+      fun b ~src ~dst ~iv ->
+        Builder.store b (Builder.load b ~mem:src ~idx:iv) ~mem:dst ~idx:iv );
+    ( "vector load", w, `Src,
+      fun b ~src ~dst ~iv ->
+        Builder.vec_store b
+          ~vec:(Builder.vec_load b ~width:w ~mem:src ~idx:iv)
+          ~mem:dst ~idx:iv );
+    ( "vector store", w, `Dst,
+      fun b ~src ~dst ~iv ->
+        Builder.vec_store b
+          ~vec:(Builder.vec_load b ~width:w ~mem:src ~idx:iv)
+          ~mem:dst ~idx:iv );
+    ( "gather", w, `Src,
+      fun b ~src ~dst ~iv ->
+        Builder.vec_store b
+          ~vec:(Builder.gather b ~mem:src ~idxs:(lanes b ~w iv))
+          ~mem:dst ~idx:iv );
+    ( "scatter", w, `Dst,
+      fun b ~src ~dst ~iv ->
+        Builder.scatter b
+          ~vec:(Builder.vec_load b ~width:w ~mem:src ~idx:iv)
+          ~mem:dst ~idxs:(lanes b ~w iv) );
+    ( "scalar load-op-store", 1, `Src,
+      fun b ~src ~dst:_ ~iv ->
+        let k = Builder.constf b 2.0 in
+        let x = Builder.load b ~mem:src ~idx:iv in
+        Builder.store b (Builder.mulf b x k) ~mem:src ~idx:iv );
+    ( "vector load-op-store", w, `Src,
+      fun b ~src ~dst:_ ~iv ->
+        let k = Builder.broadcast b ~width:w (Builder.constf b 2.0) in
+        let x = Builder.vec_load b ~width:w ~mem:src ~idx:iv in
+        Builder.vec_store b ~vec:(Builder.mulf b x k) ~mem:src ~idx:iv );
+  ]
+
+let test_oob_raises_everywhere () =
+  let n = 8 in
+  let engines =
+    [
+      ("closure", fun m -> Engine.run m);
+      ("fused", fun m -> Fused.run m);
+      ("batched", fun m -> Batched.run m);
+    ]
+  in
+  List.iter
+    (fun (cname, w, short, body) ->
+      let m = oob_loop ~w body in
+      Alcotest.(check bool)
+        (cname ^ ": batched tiles the loop") true
+        (Batched.plan_tile m ~name:"f" > 1);
+      List.iter
+        (fun (ename, run) ->
+          let go ~src_len ~dst_len =
+            let buf len = Float.Array.init len float_of_int in
+            run m "f" [| Rt.M (buf src_len); Rt.M (buf dst_len); Rt.I n |]
+          in
+          (* in range: runs clean *)
+          ignore (go ~src_len:n ~dst_len:n);
+          let src_len, dst_len =
+            match short with `Src -> (n - 2, n) | `Dst -> (n, n - 2)
+          in
+          match go ~src_len ~dst_len with
+          | _ -> Alcotest.failf "%s/%s: out-of-range access ran" ename cname
+          | exception Invalid_argument _ -> ())
+        engines)
+    oob_cases
+
 let suite =
   [
     engine_matches_eval;
@@ -258,4 +362,6 @@ let suite =
     Alcotest.test_case "extern calls" `Quick test_extern_call;
     Alcotest.test_case "local calls" `Quick test_local_call;
     Alcotest.test_case "yield parallel copy" `Quick test_yield_swap;
+    Alcotest.test_case "out-of-range access raises on every OCaml engine"
+      `Quick test_oob_raises_everywhere;
   ]

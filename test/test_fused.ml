@@ -189,7 +189,8 @@ let test_vlos_claimed_op_not_consumed () =
 (* -- bounds-check elision ----------------------------------------------- *)
 
 (* Eliding proved-inbounds checks must not change a single bit of any
-   trajectory, on any engine, on any model. *)
+   trajectory, on any model.  The batched engine is the only one that
+   elides, so its elided and unelided drivers are compared. *)
 let test_all_models_elide_bitwise_identical () =
   List.iter
     (fun (e : Models.Model_def.entry) ->
@@ -201,8 +202,7 @@ let test_all_models_elide_bitwise_identical () =
             Sim.Driver.create ~engine ~elide g ~ncells:8 ~dt:0.01
           in
           let drivers =
-            [ mk Sim.Driver.Fused true; mk Sim.Driver.Fused false;
-              mk Sim.Driver.Compiled true; mk Sim.Driver.Compiled false ]
+            [ mk Sim.Driver.Batched true; mk Sim.Driver.Batched false ]
           in
           for _ = 1 to 50 do
             List.iter (fun d -> Sim.Driver.step ~stim d) drivers
@@ -254,39 +254,6 @@ let test_cache_distinguishes_configs () =
   let s = Codegen.Cache.stats () in
   Alcotest.(check int) "three misses, no aliasing" 3 s.Codegen.Cache.misses
 
-let test_cache_lru_eviction () =
-  Codegen.Cache.clear ();
-  Fun.protect
-    ~finally:(fun () ->
-      (* other tests share the process-wide cache: restore unbounded *)
-      Codegen.Cache.set_capacity None;
-      Codegen.Cache.clear ())
-    (fun () ->
-      (match Codegen.Cache.set_capacity (Some 0) with
-      | exception Invalid_argument _ -> ()
-      | () -> Alcotest.fail "capacity 0 must be rejected");
-      Codegen.Cache.set_capacity (Some 2);
-      let m =
-        Models.Registry.model (Models.Registry.find_exn "MitchellSchaeffer")
-      in
-      let ga = Codegen.Cache.generate C.baseline m in
-      let _ = Codegen.Cache.generate (C.mlir ~width:2) m in
-      (* touch the oldest entry so LRU order is baseline < width-2 *)
-      let ga' = Codegen.Cache.generate C.baseline m in
-      Alcotest.(check bool) "touch is a hit" true (ga == ga');
-      (* third insert over capacity 2 evicts width-2 (the LRU entry) *)
-      let _ = Codegen.Cache.generate (C.mlir ~width:4) m in
-      let s = Codegen.Cache.stats () in
-      Alcotest.(check int) "one eviction" 1 s.Codegen.Cache.evictions;
-      (* the survivor still hits; the victim must recompile *)
-      let ga'' = Codegen.Cache.generate C.baseline m in
-      Alcotest.(check bool) "LRU survivor kept" true (ga == ga'');
-      let misses_before = (Codegen.Cache.stats ()).Codegen.Cache.misses in
-      let _ = Codegen.Cache.generate (C.mlir ~width:2) m in
-      Alcotest.(check int) "evicted entry recompiles"
-        (misses_before + 1)
-        (Codegen.Cache.stats ()).Codegen.Cache.misses)
-
 let test_driver_defaults_to_fused () =
   let m = Models.Registry.model (Models.Registry.find_exn "MitchellSchaeffer") in
   let d = Sim.Driver.create_cached C.baseline m ~ncells:4 ~dt:0.01 in
@@ -313,8 +280,6 @@ let suite =
       test_cache_hit_bitwise_identical;
     Alcotest.test_case "cache keys on config and pipeline" `Quick
       test_cache_distinguishes_configs;
-    Alcotest.test_case "cache LRU eviction under capacity" `Quick
-      test_cache_lru_eviction;
     Alcotest.test_case "driver defaults to fused engine" `Quick
       test_driver_defaults_to_fused;
   ]
